@@ -14,11 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ccdl._parallel import map_ordered
+
 _U64 = 2**64
 
 
+class RankDeficient(ArithmeticError):
+    """A trial's draw is (numerically) rank deficient; the trial redraws."""
+
+
 class SingularDraw(RuntimeError):
-    """A numerically singular Gram matrix persisted past the resample cap."""
+    """Rank-deficient draws exceeded the resample cap or the singular budget."""
 
 
 @dataclass(frozen=True)
@@ -64,35 +70,57 @@ def draw_channel(Q: int, L: int, rng: RngSeed) -> np.ndarray:
     return complex_gaussian(rng.generator(), Q, L)
 
 
-_RESAMPLE_CAP = 8
+_RESAMPLE_CAP = 8  # redraws allowed within one trial
+_SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to need a redraw
+
+
+def seeded_map(fn, trials: int, seed: RngSeed) -> list:
+    """Results of ``fn(gen)`` for trials 0..trials-1, in trial order.
+
+    Trial t runs on the generator of ``seed.substream(t)``, so its result
+    is a pure function of (seed, t) for any worker count.  When ``fn``
+    raises :class:`RankDeficient` the trial redraws from the same
+    generator.  More than 8 redraws in one trial, or redraws in more than
+    0.1% of the trials, raise :class:`SingularDraw`: that signals a defect
+    rather than the measure-zero event a singular draw should be.
+    """
+
+    def one_trial(t: int):
+        gen = seed.substream(t).generator()
+        for resamples in range(_RESAMPLE_CAP + 1):
+            try:
+                return fn(gen), resamples
+            except RankDeficient:
+                pass
+        raise SingularDraw(f"trial {t}: rank deficient on {_RESAMPLE_CAP + 1} draws in a row")
+
+    results = map_ordered(one_trial, range(trials))
+    resampled = sum(1 for _, r in results if r)
+    if resampled > _SINGULAR_BUDGET * trials:
+        raise SingularDraw(f"{resampled} of {trials} trials resampled, over the {_SINGULAR_BUDGET:.1%} budget")
+    return [value for value, _ in results]
 
 
 def wishart_inv_trace_mc(Q: int, L: int, trials: int, rng: RngSeed) -> float:
     """Monte Carlo estimate of E{Tr{(H H^H)^-1}} for a Q x L channel H.
 
     Requires L > Q so the Gram matrix is almost surely invertible; the
-    estimate converges to Q / (L - Q).  Singular draws are resampled from
-    the same substream (keeping trial t a pure function of the seed) and
-    raise :class:`SingularDraw` past a small cap.
+    estimate converges to Q / (L - Q).  Singular draws are resampled
+    under the policy of :func:`seeded_map`.
     """
     if not L > Q:
         raise ValueError(f"need L > Q for an invertible Gram matrix, got Q={Q}, L={L}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def one_trial(t: int) -> float:
-        gen = rng.substream(t).generator()
-        for _ in range(_RESAMPLE_CAP):
-            H = complex_gaussian(gen, Q, L)
-            w = np.linalg.eigvalsh(H @ H.conj().T)
-            if w[0] > w[-1] * 1e-12:
-                return float(np.sum(1.0 / w))
-        raise SingularDraw(f"trial {t}: Gram matrix singular {_RESAMPLE_CAP} times in a row")
+    def one_trial(gen: np.random.Generator) -> float:
+        H = complex_gaussian(gen, Q, L)
+        w = np.linalg.eigvalsh(H @ H.conj().T)
+        if not w[0] > w[-1] * 1e-12:
+            raise RankDeficient("singular Gram matrix")
+        return float(np.sum(1.0 / w))
 
-    from ccdl._parallel import map_ordered
-
-    values = map_ordered(one_trial, range(trials))
-    return math.fsum(values) / trials
+    return math.fsum(seeded_map(one_trial, trials, rng)) / trials
 
 
 def resolvent_trace(H: np.ndarray, z: float) -> float:

@@ -141,6 +141,18 @@ def _require(spec: ExperimentSpec, *names: str) -> None:
         raise SpecError(f"{spec.command} needs {', '.join('--' + n.replace('_', '-') for n in missing)}")
 
 
+_FLOAT_FIELDS = ("snr_db", "gamma", "beta", "tc", "wc", "zeta", "start", "stop", "step")
+
+
+def _check_domain(spec: ExperimentSpec) -> None:
+    """Reject non-finite float fields and an antenna count below one."""
+    bad = [n for n in _FLOAT_FIELDS if getattr(spec, n) is not None and not math.isfinite(getattr(spec, n))]
+    if bad:
+        raise SpecError(f"{', '.join('--' + n.replace('_', '-') for n in bad)} must be finite")
+    if spec.L is not None and spec.L < 1:
+        raise SpecError(f"--L must be >= 1, got {spec.L}")
+
+
 def _p_t(spec: ExperimentSpec) -> float:
     return 10.0 ** (spec.snr_db / 10.0)
 
@@ -303,6 +315,7 @@ _MODE_BUILDERS = {
 }
 
 _INT_AXES = ("Q", "L", "G")
+_MAX_SWEEP_POINTS = 100_000
 
 
 def _axis_values(spec: ExperimentSpec) -> list:
@@ -314,6 +327,8 @@ def _axis_values(spec: ExperimentSpec) -> list:
     count = int(math.floor((spec.stop - spec.start) / spec.step + 1e-9)) + 1
     if count < 1:
         raise SpecError("empty sweep range")
+    if count > _MAX_SWEEP_POINTS:
+        raise SpecError(f"sweep has {count} points, over the cap of {_MAX_SWEEP_POINTS}")
     values = [spec.start + i * spec.step for i in range(count)]
     if spec.axis in _INT_AXES:
         ints = [int(round(v)) for v in values]
@@ -331,6 +346,7 @@ def _sweep_rows(spec: ExperimentSpec) -> list[dict]:
 
     def one_point(value) -> list[dict]:
         point = dataclasses.replace(spec, **{spec.axis: value})
+        _check_domain(point)
         return _MODE_BUILDERS[mode](point)
 
     return [row for rows in map_ordered(one_point, values) for row in rows]
@@ -368,6 +384,7 @@ def run(spec: ExperimentSpec) -> int:
     machine-readable line on stderr and a nonzero status.
     """
     try:
+        _check_domain(spec)
         if spec.command == "sweep":
             rows = _sweep_rows(spec)
         elif spec.command in _MODE_BUILDERS:

@@ -15,13 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccdl import analytic, precoding
-from ccdl._parallel import map_ordered
-from ccdl.channel import RngSeed, SingularDraw, complex_gaussian
+from ccdl.channel import RngSeed, complex_gaussian, seeded_map
 from ccdl.precoding import PrecoderKind
 from ccdl.scheme import ValidatedScheme, scheme_for_gain
-
-_SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to hit a singular draw
-_RESAMPLE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -54,10 +50,6 @@ class ConvergencePoint:
     std_error: float
 
 
-def _draw_stage(gen: np.random.Generator, scheme: ValidatedScheme) -> list[np.ndarray]:
-    return [complex_gaussian(gen, scheme.Q, scheme.L) for _ in range(scheme.G)]
-
-
 def _mean_and_se(values: list[float]) -> tuple[float, float]:
     n = len(values)
     mean = math.fsum(values) / n
@@ -67,80 +59,34 @@ def _mean_and_se(values: list[float]) -> tuple[float, float]:
     return mean, math.inf
 
 
-def _estimate_fixed_rho(mc: McConfig, kind: PrecoderKind, rho: float) -> McEstimate:
-    scheme = mc.scheme
-
-    def one_trial(t: int) -> tuple[float, int]:
-        gen = mc.seed.substream(t).generator()
-        resamples = 0
-        while True:
-            try:
-                sinrs = precoding.stage_sinrs(_draw_stage(gen, scheme), kind, scheme, rho=rho)
-                return float(np.log1p(sinrs).sum()), resamples
-            except precoding.RankDeficient:
-                resamples += 1
-                if resamples > _RESAMPLE_CAP:
-                    raise
-
-    results = map_ordered(one_trial, range(mc.trials))
-    singular = sum(r for _, r in results)
-    if singular > _SINGULAR_BUDGET * mc.trials:
-        raise SingularDraw(
-            f"{singular} singular draws in {mc.trials} trials exceeds the {_SINGULAR_BUDGET:.1%} budget"
-        )
-    mean, std_error = _mean_and_se([v for v, _ in results])
-    return McEstimate(mean=mean, std_error=std_error, trials=mc.trials)
-
-
-def _estimate_rzf(mc: McConfig, kind: PrecoderKind) -> McEstimate:
-    """Two-pass RZF estimate sharing one channel sweep.
-
-    RZF has no finite-L closed form for E{Tr{V^H V}}, so rho comes from
-    the sample mean over exactly the trial set the SINR pass uses.  Each
-    trial stores its unscaled signal/interference powers and trace, the
-    trace mean fixes rho, and the second pass is pure arithmetic on the
-    stored values; the result is identical to redrawing the channels.
-    """
-    scheme = mc.scheme
-    G = scheme.G
-
-    def one_trial(t: int) -> tuple[np.ndarray, np.ndarray, float]:
-        gen = mc.seed.substream(t).generator()
-        sig = np.empty((G, scheme.Q))
-        intf = np.empty((G, scheme.Q))
-        trace = 0.0
-        for i, H in enumerate(_draw_stage(gen, scheme)):
-            V = precoding.build_precoder(H, kind)
-            trace += float(np.sum(np.abs(V) ** 2))
-            P = np.abs(H @ V) ** 2
-            sig[i] = np.diagonal(P)
-            intf[i] = P.sum(axis=1) - sig[i]
-        return sig, intf, trace
-
-    results = map_ordered(one_trial, range(mc.trials))
-    mean_trace = math.fsum(trace for _, _, trace in results) / (mc.trials * G)
-    rho_sq = scheme.p_t / mean_trace
-
-    scale = rho_sq / G
-    values = [float(np.log1p(scale * sig / (1.0 + scale * intf)).sum()) for sig, intf, _ in results]
-    mean, std_error = _mean_and_se(values)
-    return McEstimate(mean=mean, std_error=std_error, trials=mc.trials)
-
-
 def estimate_sum_rate(mc: McConfig) -> McEstimate:
     """Average over trials of the stage sum rate sum_k ln(1 + SINR_k).
 
-    Power normalization is the exact expectation for MF/ZF and the
-    two-pass sample mean for RZF.  Rank-deficient ZF draws are resampled
-    from the same substream and counted; more than 0.1% of trials hitting
-    one fails the run, since that signals an RNG defect rather than the
-    measure-zero event it should be.
+    Each trial draws its G group channels and keeps their unit-power
+    signal and interference powers and precoder traces.  The power
+    normalization rho^2 is the exact expectation for MF/ZF; RZF has no
+    finite-L closed form, so there rho^2 = p_t / (mean trace) over exactly
+    the trials the rates average.  Rank-deficient ZF draws are resampled
+    under the policy of :func:`ccdl.channel.seeded_map`.
     """
-    kind = precoding._resolved(mc.precoder, mc.scheme)
+    scheme = mc.scheme
+    kind = precoding._resolved(mc.precoder, scheme)
+
+    def one_trial(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
+        channels = [complex_gaussian(gen, scheme.Q, scheme.L) for _ in range(scheme.G)]
+        sig, intf, traces = zip(*(precoding.group_powers(H, kind) for H in channels))
+        return np.stack(sig), np.stack(intf), sum(traces)
+
+    results = seeded_map(one_trial, mc.trials, mc.seed)
     if kind.name == "RZF":
-        return _estimate_rzf(mc, kind)
-    rho = precoding.power_factor(kind, mc.scheme, mode="exact")
-    return _estimate_fixed_rho(mc, kind, rho)
+        rho_sq = scheme.p_t / (math.fsum(trace for _, _, trace in results) / (mc.trials * scheme.G))
+    else:
+        rho = precoding.power_factor(kind, scheme, mode="exact")
+        rho_sq = rho * rho
+    s = rho_sq / scheme.G
+    values = [float(np.log1p(s * sig / (1.0 + s * intf)).sum()) for sig, intf, _ in results]
+    mean, std_error = _mean_and_se(values)
+    return McEstimate(mean=mean, std_error=std_error, trials=mc.trials)
 
 
 def convergence_report(
@@ -192,13 +138,13 @@ def deterministic_equivalent_check(
     Q = max(int(round(c * L)), 1)
     alpha = L / p_t
 
-    def one_trial(t: int) -> float:
-        H = complex_gaussian(seed.substream(t).generator(), Q, L)
+    def one_trial(gen: np.random.Generator) -> float:
+        H = complex_gaussian(gen, Q, L)
         h = H[0]
         rest = H[1:]
         M = alpha * np.eye(L) + rest.conj().T @ rest
         return float(np.real(h @ np.linalg.solve(M, h.conj())))
 
-    a_emp = math.fsum(map_ordered(one_trial, range(trials))) / trials
+    a_emp = math.fsum(seeded_map(one_trial, trials, seed)) / trials
     a_theory = analytic.stieltjes(c, 1.0 / p_t)
     return a_emp, a_theory, abs(a_emp - a_theory) / a_theory

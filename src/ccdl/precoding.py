@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccdl import analytic
-from ccdl.channel import RngSeed, complex_gaussian
+from ccdl.channel import RankDeficient, RngSeed, complex_gaussian, seeded_map
 from ccdl.scheme import ValidatedScheme
-
-ZF_IDENTITY_TOL = 1e-9
-
-
-class RankDeficient(ArithmeticError):
-    """ZF requested on a (numerically) rank-deficient channel draw."""
 
 
 class ExactUnavailable(ValueError):
@@ -63,13 +57,6 @@ class PrecoderKind:
         if self.alpha is not None:
             return self.alpha
         return L / p_t
-
-
-def for_scheme(scheme: ValidatedScheme) -> PrecoderKind:
-    """The precoder named by a validated scheme, alpha resolved for RZF."""
-    if scheme.precoder == "RZF":
-        return PrecoderKind.rzf(scheme.L / scheme.p_t)
-    return PrecoderKind(scheme.precoder)
 
 
 def build_precoder(H: np.ndarray, kind: PrecoderKind) -> np.ndarray:
@@ -135,8 +122,8 @@ def power_factor(
 
     alpha = kind.resolve_alpha(L, p_t) if kind.name == "RZF" else None
 
-    def trace_one(t: int) -> float:
-        H = complex_gaussian(seed.substream(t).generator(), Q, L)
+    def trace_one(gen: np.random.Generator) -> float:
+        H = complex_gaussian(gen, Q, L)
         if kind.name == "MF":
             return float(np.sum(np.abs(H) ** 2))
         s2 = np.linalg.svd(H, compute_uv=False) ** 2
@@ -144,9 +131,7 @@ def power_factor(
             return float(np.sum(1.0 / s2))
         return float(np.sum(s2 / (s2 + alpha) ** 2))
 
-    from ccdl._parallel import map_ordered
-
-    mean_trace = math.fsum(map_ordered(trace_one, range(trials))) / trials
+    mean_trace = math.fsum(seeded_map(trace_one, trials, seed)) / trials
     return math.sqrt(p_t / mean_trace)
 
 
@@ -156,17 +141,23 @@ def _resolved(kind: PrecoderKind, scheme: ValidatedScheme) -> PrecoderKind:
     return kind
 
 
-def _sinr_one_group(H: np.ndarray, kind: PrecoderKind, rho: float, G: int) -> np.ndarray:
+def group_powers(H: np.ndarray, kind: PrecoderKind) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unit-power signal and interference per user of one group, and Tr{V^H V}.
+
+    For the Q x L channel H and its precoder V, user k's signal power is
+    |h_k^T v_k|^2 and its interference the sum over j != k of
+    |h_k^T v_j|^2; scaling both by rho^2/G gives the stage SINR.  ZF raises
+    :class:`RankDeficient` when H V strays from the identity.
+    """
     V = build_precoder(H, kind)
     M = H @ V
     if kind.name == "ZF":
         err = np.max(np.abs(M - np.eye(H.shape[0])))
         if err > 1e-6:
             raise RankDeficient(f"ZF identity residual {err:.2e} on a near-singular draw")
-    P = (rho * rho / G) * np.abs(M) ** 2
+    P = np.abs(M) ** 2
     sig = np.diagonal(P).copy()
-    interference = P.sum(axis=1) - sig
-    return sig / (1.0 + interference)
+    return sig, P.sum(axis=1) - sig, float(np.sum(np.abs(V) ** 2))
 
 
 def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: float | None = None) -> np.ndarray:
@@ -184,8 +175,9 @@ def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: floa
     kind = _resolved(kind, scheme)
     if rho is None:
         rho = power_factor(kind, scheme, mode="exact")
-    out = [_sinr_one_group(np.asarray(H), kind, rho, scheme.G) for H in channels]
-    return np.concatenate(out)
+    s = rho * rho / scheme.G
+    powers = [group_powers(np.asarray(H), kind) for H in channels]
+    return np.concatenate([s * sig / (1.0 + s * intf) for sig, intf, _ in powers])
 
 
 def cancellation_residual(channels, kind: PrecoderKind, scheme: ValidatedScheme, rng: RngSeed) -> float:

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 from ccdl.analytic import stieltjes
-from ccdl.channel import RngSeed, draw_channel, resolvent_trace, wishart_inv_trace_mc
+from ccdl.channel import (
+    RankDeficient,
+    RngSeed,
+    SingularDraw,
+    draw_channel,
+    resolvent_trace,
+    seeded_map,
+    wishart_inv_trace_mc,
+)
+from ccdl.precoding import RankDeficient as PrecodingRankDeficient
 
 
 class TestDeterminism:
@@ -80,6 +89,60 @@ class TestWishartInverseTrace:
         monkeypatch.setenv("CCDL_THREADS", "4")
         threaded = wishart_inv_trace_mc(8, 24, 400, RngSeed(9))
         assert serial == threaded
+
+
+def _first_draws(seed: RngSeed, t: int, n: int) -> list[float]:
+    gen = seed.substream(t).generator()
+    return [float(gen.random()) for _ in range(n)]
+
+
+def _rejecting(rejected: set[float]):
+    """A trial that draws one uniform and reports a singular draw on ``rejected``."""
+
+    def fn(gen) -> float:
+        x = float(gen.random())
+        if x in rejected:
+            raise RankDeficient("test rejection")
+        return x
+
+    return fn
+
+
+class TestSeededMap:
+    SEED = RngSeed(77)
+
+    def test_trial_results_in_order(self):
+        assert seeded_map(_rejecting(set()), 5, self.SEED) == [_first_draws(self.SEED, t, 1)[0] for t in range(5)]
+
+    def test_resample_takes_next_draw_of_own_substream(self):
+        first, second = _first_draws(self.SEED, 3, 2)
+        got = seeded_map(_rejecting({first}), 2000, self.SEED)
+        assert got[3] == second
+        assert got[4] == _first_draws(self.SEED, 4, 1)[0]
+
+    def test_eight_resamples_allowed_ninth_raises(self):
+        # 1000 trials keep one resampled trial within the 0.1% budget
+        draws = _first_draws(self.SEED, 0, 10)
+        assert seeded_map(_rejecting(set(draws[:8])), 1000, self.SEED)[0] == draws[8]
+        with pytest.raises(SingularDraw, match="in a row"):
+            seeded_map(_rejecting(set(draws[:9])), 1000, self.SEED)
+
+    def test_singular_budget(self):
+        # 0.1% of 2000 trials: two resampled trials pass, a third fails
+        firsts = [_first_draws(self.SEED, t, 1)[0] for t in range(3)]
+        assert len(seeded_map(_rejecting(set(firsts[:2])), 2000, self.SEED)) == 2000
+        with pytest.raises(SingularDraw, match="budget"):
+            seeded_map(_rejecting(set(firsts)), 2000, self.SEED)
+
+    def test_worker_count_invariance(self, monkeypatch):
+        fn = _rejecting({_first_draws(self.SEED, 1, 1)[0]})
+        monkeypatch.setenv("CCDL_THREADS", "1")
+        serial = seeded_map(fn, 1000, self.SEED)
+        monkeypatch.setenv("CCDL_THREADS", "2")
+        assert seeded_map(fn, 1000, self.SEED) == serial
+
+    def test_precoding_shares_the_exception(self):
+        assert PrecodingRankDeficient is RankDeficient
 
 
 class TestResolventTrace:

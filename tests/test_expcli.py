@@ -158,6 +158,25 @@ class TestErrors:
         assert code == 1
         assert err.startswith("error: NonIntegerLambdaGamma:")
 
+    @pytest.mark.parametrize("flags", [
+        ("--snr-db", "nan"), ("--snr-db", "inf"), ("--zeta", "nan"),
+        ("--beta", "nan", "--tc", "0.04", "--wc", "300e3"), ("--L", "0"),
+    ])
+    def test_out_of_domain_input_rejected(self, capsys, flags):
+        base = {"--precoder": "mf", "--G": "5", "--L": "64", "--Q": "16", "--snr-db": "10"}
+        base.update(zip(flags[::2], flags[1::2]))
+        code, lines, err = run_cli(capsys, "rate", *(x for kv in base.items() for x in kv))
+        assert code == 1
+        assert lines == []
+        assert err.startswith("error: SpecError:") and err.count("\n") == 1
+
+    def test_sweep_point_cap(self, capsys):
+        code, lines, err = run_cli(capsys, "sweep", "--mode", "rate", "--precoder", "mf", "--G", "5", "--L", "64",
+                                   "--snr-db", "10", "--axis", "Q", "--start", "1", "--stop", "1e9", "--step", "1e-9")
+        assert code == 1
+        assert lines == []
+        assert err.startswith("error: SpecError:")
+
 
 class TestOutputStability:
     SIM_ARGS = ("simulate", "--precoder", "rzf", "--G", "3", "--L", "16", "--Q", "8",

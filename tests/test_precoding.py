@@ -10,6 +10,7 @@ from ccdl.channel import RngSeed, draw_channel
 from ccdl.precoding import (
     ExactUnavailable,
     PrecoderKind,
+    RankDeficient,
     build_precoder,
     cancellation_residual,
     power_factor,
@@ -110,6 +111,16 @@ class TestStageSinrs:
         scheme = scheme_for_gain(16, 10.0, 2, 4, precoder="MF")
         with pytest.raises(ValueError):
             stage_sinrs([draw_channel(4, 16, RngSeed(9))], PrecoderKind.mf(), scheme)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e-8])
+    def test_zf_rank_guard(self, offset):
+        # identical rows fail the solve; rows 1e-8 apart solve to a precoder
+        # whose H V misses the identity, which the residual guard catches
+        scheme = scheme_for_gain(16, 10.0, 1, 4, precoder="ZF")
+        H = draw_channel(4, 16, RngSeed(10))
+        H[1] = H[0] + offset * draw_channel(1, 16, RngSeed(11))[0]
+        with pytest.raises(RankDeficient):
+            stage_sinrs([H], PrecoderKind.zf(), scheme)
 
 
 class TestRzfSinrDecomposition:
