@@ -1,14 +1,17 @@
 """Seedable Rayleigh channel generation and random-matrix estimators.
 
 Channels are Q x L matrices of i.i.d. circularly-symmetric complex
-Gaussians with unit variance (1/2 per real component).  All randomness is
-counter-based: a :class:`RngSeed` keys an independent Philox stream, so
-any (seed, stream_id) pair reproduces the same draw regardless of
-execution order or parallelism.
+Gaussians with unit variance (1/2 per real component).  Monte Carlo
+estimators need only their Q x Q Gram matrices W = H H^H, which
+:func:`wishart_gram` draws directly.  All randomness is counter-based: a
+:class:`RngSeed` keys an independent Philox stream, so any
+(seed, stream_id) pair reproduces the same draw regardless of execution
+order or parallelism.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +73,38 @@ def draw_channel(Q: int, L: int, rng: RngSeed) -> np.ndarray:
     return complex_gaussian(rng.generator(), Q, L)
 
 
+@functools.lru_cache(maxsize=64)
+def _strict_lower(Q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    rows, cols = np.tril_indices(Q, -1, m)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def wishart_gram(gen: np.random.Generator, G: int, Q: int, L: int) -> np.ndarray:
+    """G independent Gram matrices W = H H^H of Q x L Rayleigh channels.
+
+    Bartlett decomposition (Goodman 1963; Edelman & Rao 2005): H = T U
+    with U Haar and T a Q x m lower-trapezoidal factor, m = min(Q, L),
+    whose diagonal T_ii (i from 0) is sqrt(Gamma(L - i, 1)) and whose
+    strictly lower entries are CN(0, 1).  W = T T^H costs about Q m
+    normals instead of the 2 Q L of H, and covers Q > L (rank-L W) on the
+    same path.  Draw order, fixed for reproducibility: one (G, 2, n)
+    standard-normal block (real, imaginary parts of the n strictly lower
+    entries), then one (G, m) standard-gamma block.
+    """
+    if G < 1 or Q < 1 or L < 1:
+        raise ValueError(f"G={G}, Q={Q} and L={L} must be positive")
+    m = min(Q, L)
+    rows, cols = _strict_lower(Q, m)
+    z = gen.standard_normal((G, 2, rows.size))
+    diag = np.sqrt(gen.standard_gamma(np.arange(L, L - m, -1, dtype=float), (G, m)))
+    T = np.zeros((G, Q, m), dtype=complex)
+    T[:, rows, cols] = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5)
+    idx = np.arange(m)
+    T[:, idx, idx] = diag
+    return T @ T.conj().transpose(0, 2, 1)
+
+
 _RESAMPLE_CAP = 8  # redraws allowed within one trial
 _SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to need a redraw
 
@@ -78,8 +113,8 @@ def seeded_map(fn, trials: int, seed: RngSeed) -> list:
     """Results of ``fn(gen)`` for trials 0..trials-1, in trial order.
 
     Trial t runs on the generator of ``seed.substream(t)``, so its result
-    is a pure function of (seed, t) for any worker count.  When ``fn``
-    raises :class:`RankDeficient` the trial redraws from the same
+    is a pure function of (seed, t) whatever order trials run in.  When
+    ``fn`` raises :class:`RankDeficient` the trial redraws from the same
     generator.  More than 8 redraws in one trial, or redraws in more than
     0.1% of the trials, raise :class:`SingularDraw`: that signals a defect
     rather than the measure-zero event a singular draw should be.
@@ -114,8 +149,7 @@ def wishart_inv_trace_mc(Q: int, L: int, trials: int, rng: RngSeed) -> float:
         raise ValueError("trials must be >= 1")
 
     def one_trial(gen: np.random.Generator) -> float:
-        H = complex_gaussian(gen, Q, L)
-        w = np.linalg.eigvalsh(H @ H.conj().T)
+        w = np.linalg.eigvalsh(wishart_gram(gen, 1, Q, L)[0])
         if not w[0] > w[-1] * 1e-12:
             raise RankDeficient("singular Gram matrix")
         return float(np.sum(1.0 / w))

@@ -11,8 +11,7 @@ CSV schema (fixed column order, empty fields where not applicable)::
     precoder,L,Q,G,snr_db,zeta,c,rate_nats,rate_bits,effective_rate_nats,
     source,trials,seed,c_star,q_star,gain
 
-Sweep points are evaluated independently (optionally in parallel, capped
-by the CCDL_THREADS environment variable) and written in axis order.
+Sweep points are evaluated independently and written in axis order.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Each trial draws one stage worth of channels from its own counter-based
 substream, so trial t is a pure function of (seed, t) and estimates are
-bit-stable for any worker count.  Reductions run in trial order with
+bit-stable in any trial order.  Reductions run in trial order with
 compensated summation.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccdl import analytic, precoding
-from ccdl.channel import RngSeed, complex_gaussian, seeded_map
+from ccdl.channel import RngSeed, seeded_map, wishart_gram
 from ccdl.precoding import PrecoderKind
 from ccdl.scheme import ValidatedScheme, scheme_for_gain
 
@@ -62,20 +62,20 @@ def _mean_and_se(values: list[float]) -> tuple[float, float]:
 def estimate_sum_rate(mc: McConfig) -> McEstimate:
     """Average over trials of the stage sum rate sum_k ln(1 + SINR_k).
 
-    Each trial draws its G group channels and keeps their unit-power
-    signal and interference powers and precoder traces.  The power
-    normalization rho^2 is the exact expectation for MF/ZF; RZF has no
-    finite-L closed form, so there rho^2 = p_t / (mean trace) over exactly
-    the trials the rates average.  Rank-deficient ZF draws are resampled
-    under the policy of :func:`ccdl.channel.seeded_map`.
+    Each trial draws the Gram matrices of its G group channels and keeps
+    their unit-power signal and interference powers and the sum of their
+    precoder traces.  The power normalization rho^2 is the exact
+    expectation for MF/ZF; RZF has no finite-L closed form, so there
+    rho^2 = p_t / (mean trace) over exactly the trials the rates average.
+    Rank-deficient ZF draws are resampled under the policy of
+    :func:`ccdl.channel.seeded_map`.
     """
     scheme = mc.scheme
     kind = precoding._resolved(mc.precoder, scheme)
 
     def one_trial(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-        channels = [complex_gaussian(gen, scheme.Q, scheme.L) for _ in range(scheme.G)]
-        sig, intf, traces = zip(*(precoding.group_powers(H, kind) for H in channels))
-        return np.stack(sig), np.stack(intf), sum(traces)
+        sig, intf, traces = precoding.gram_powers(wishart_gram(gen, scheme.G, scheme.Q, scheme.L), kind)
+        return sig, intf, float(traces.sum())
 
     results = seeded_map(one_trial, mc.trials, mc.seed)
     if kind.name == "RZF":
@@ -130,20 +130,20 @@ def deterministic_equivalent_check(
 ) -> tuple[float, float, float]:
     """Empirical versus asymptotic value of the per-user quadratic form.
 
-    Averages h^T (alpha I + H_-k^H H_-k)^-1 h* over seeded draws (alpha =
-    L / p_t, H_-k the channel with user k's row removed) and compares with
-    the transform value the RZF analysis predicts.  Returns
-    (a_empirical, a_theory, relative gap).
+    Averages a = h^T (alpha I + H_-k^H H_-k)^-1 h* over seeded draws
+    (alpha = L / p_t, H_-k the channel with user k's row removed) and
+    compares with the transform value the RZF analysis predicts.  Each
+    draw computes a = 1 / (alpha [(W + alpha I)^-1]_kk) - 1 from the Gram
+    matrix W = H H^H, a Q x Q inverse in place of an L x L solve.
+    Returns (a_empirical, a_theory, relative gap).
     """
     Q = max(int(round(c * L)), 1)
     alpha = L / p_t
 
     def one_trial(gen: np.random.Generator) -> float:
-        H = complex_gaussian(gen, Q, L)
-        h = H[0]
-        rest = H[1:]
-        M = alpha * np.eye(L) + rest.conj().T @ rest
-        return float(np.real(h @ np.linalg.solve(M, h.conj())))
+        W = wishart_gram(gen, 1, Q, L)[0]
+        r00 = np.linalg.inv(W + alpha * np.eye(Q))[0, 0].real
+        return float(1.0 / (alpha * r00) - 1.0)
 
     a_emp = math.fsum(seeded_map(one_trial, trials, seed)) / trials
     a_theory = analytic.stieltjes(c, 1.0 / p_t)

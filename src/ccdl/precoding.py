@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ccdl import analytic
-from ccdl.channel import RankDeficient, RngSeed, complex_gaussian, seeded_map
+from ccdl.channel import RankDeficient, RngSeed, complex_gaussian, seeded_map, wishart_gram
 from ccdl.scheme import ValidatedScheme
 
 
@@ -123,10 +123,10 @@ def power_factor(
     alpha = kind.resolve_alpha(L, p_t) if kind.name == "RZF" else None
 
     def trace_one(gen: np.random.Generator) -> float:
-        H = complex_gaussian(gen, Q, L)
+        W = wishart_gram(gen, 1, Q, L)[0]
         if kind.name == "MF":
-            return float(np.sum(np.abs(H) ** 2))
-        s2 = np.linalg.svd(H, compute_uv=False) ** 2
+            return float(np.trace(W).real)
+        s2 = np.clip(np.linalg.eigvalsh(W), 0.0, None)
         if kind.name == "ZF":
             return float(np.sum(1.0 / s2))
         return float(np.sum(s2 / (s2 + alpha) ** 2))
@@ -141,23 +141,46 @@ def _resolved(kind: PrecoderKind, scheme: ValidatedScheme) -> PrecoderKind:
     return kind
 
 
-def group_powers(H: np.ndarray, kind: PrecoderKind) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unit-power signal and interference per user of one group, and Tr{V^H V}.
+def gram_powers(W: np.ndarray, kind: PrecoderKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit-power signal and interference per user, and Tr{V^H V}, from Gram matrices.
 
-    For the Q x L channel H and its precoder V, user k's signal power is
-    |h_k^T v_k|^2 and its interference the sum over j != k of
-    |h_k^T v_j|^2; scaling both by rho^2/G gives the stage SINR.  ZF raises
-    :class:`RankDeficient` when H V strays from the identity.
+    ``W`` stacks Q x Q Gram matrices H H^H (shape (..., Q, Q)); every
+    quantity depends on the channel H only through W, since with
+    V = H^H R the effective channel is H V = W R: R = I for MF, W^-1 for
+    ZF and (W + alpha I)^-1 for RZF.  User k's signal power is
+    |[W R]_kk|^2 and its interference the sum over j != k of |[W R]_kj|^2;
+    scaling both by rho^2/G gives the stage SINR.  Returns arrays of shape
+    (..., Q), (..., Q) and (...).  ZF raises :class:`RankDeficient` when
+    W is singular or W R strays from the identity.
     """
-    V = build_precoder(H, kind)
-    M = H @ V
-    if kind.name == "ZF":
-        err = np.max(np.abs(M - np.eye(H.shape[0])))
-        if err > 1e-6:
-            raise RankDeficient(f"ZF identity residual {err:.2e} on a near-singular draw")
+    if kind.name == "MF":
+        M = W
+        trace = np.trace(W, axis1=-2, axis2=-1).real
+    else:
+        eye = np.eye(W.shape[-1])
+        if kind.name == "ZF":
+            try:
+                R = np.linalg.inv(W)
+            except np.linalg.LinAlgError as exc:
+                raise RankDeficient("singular Gram matrix in ZF precoder") from exc
+            if not np.all(np.isfinite(R)):
+                raise RankDeficient("non-finite ZF inverse")
+            M = W @ R
+            err = np.max(np.abs(M - eye))
+            if err > 1e-6:
+                raise RankDeficient(f"ZF identity residual {err:.2e} on a near-singular draw")
+            trace = np.trace(R, axis1=-2, axis2=-1).real
+        else:
+            if kind.alpha is None:
+                raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
+            # not I - alpha R or Tr R - alpha ||R||_F^2: both cancel when
+            # alpha = L / p_t is large (low SNR)
+            R = np.linalg.inv(W + kind.alpha * eye)
+            M = W @ R
+            trace = np.einsum("...ij,...ji->...", R, M).real
     P = np.abs(M) ** 2
-    sig = np.diagonal(P).copy()
-    return sig, P.sum(axis=1) - sig, float(np.sum(np.abs(V) ** 2))
+    sig = np.diagonal(P, axis1=-2, axis2=-1).copy()
+    return sig, P.sum(axis=-1) - sig, trace
 
 
 def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: float | None = None) -> np.ndarray:
@@ -176,8 +199,9 @@ def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: floa
     if rho is None:
         rho = power_factor(kind, scheme, mode="exact")
     s = rho * rho / scheme.G
-    powers = [group_powers(np.asarray(H), kind) for H in channels]
-    return np.concatenate([s * sig / (1.0 + s * intf) for sig, intf, _ in powers])
+    grams = np.stack([H @ H.conj().T for H in map(np.asarray, channels)])
+    sig, intf, _ = gram_powers(grams, kind)
+    return (s * sig / (1.0 + s * intf)).ravel()
 
 
 def cancellation_residual(channels, kind: PrecoderKind, scheme: ValidatedScheme, rng: RngSeed) -> float:

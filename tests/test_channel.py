@@ -13,6 +13,7 @@ from ccdl.channel import (
     draw_channel,
     resolvent_trace,
     seeded_map,
+    wishart_gram,
     wishart_inv_trace_mc,
 )
 from ccdl.precoding import RankDeficient as PrecodingRankDeficient
@@ -68,6 +69,62 @@ class TestMoments:
         assert H.dtype == np.complex128
         with pytest.raises(ValueError):
             draw_channel(0, 5, RngSeed(0))
+
+
+def _gram_moments(W: np.ndarray) -> np.ndarray:
+    """Per-matrix statistics: mean W_kk, mean |W_kj|^2 (k != j), mean |W_kk|^2, tr W^2."""
+    Q = W.shape[-1]
+    diag = np.diagonal(W, axis1=-2, axis2=-1).real
+    sq = np.abs(W) ** 2
+    off = (sq.sum(axis=(-2, -1)) - (diag**2).sum(axis=-1)) / (Q * (Q - 1))
+    return np.stack([diag.mean(axis=-1), off, (diag**2).mean(axis=-1), sq.sum(axis=(-2, -1))], axis=-1)
+
+
+def _direct_gram(Q: int, L: int, seed: RngSeed) -> np.ndarray:
+    H = draw_channel(Q, L, seed)
+    return H @ H.conj().T
+
+
+class TestWishartGram:
+    def test_draw_layout(self):
+        # one (G, 2, n) normal block, then one (G, m) gamma block, from the trial's generator
+        G, Q, L = 3, 5, 3
+        W = wishart_gram(RngSeed(8).generator(), G, Q, L)
+        gen = RngSeed(8).generator()
+        z = gen.standard_normal((G, 2, 9))  # 1 + 2 + 3 + 3 strictly lower entries of a 5 x 3 factor
+        gam = gen.standard_gamma([3.0, 2.0, 1.0], (G, 3))
+        rows, cols = np.tril_indices(Q, -1, L)
+        T = np.zeros((G, Q, L), dtype=complex)
+        T[:, rows, cols] = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5)
+        for i in range(L):
+            T[:, i, i] = np.sqrt(gam[:, i])
+        assert np.array_equal(W, T @ T.conj().transpose(0, 2, 1))
+
+    def test_shape_and_rank(self):
+        W = wishart_gram(RngSeed(0).generator(), 4, 8, 4)
+        assert W.shape == (4, 8, 8)
+        assert np.allclose(W, W.conj().transpose(0, 2, 1), rtol=0, atol=1e-12)
+        assert all(np.linalg.matrix_rank(w) == 4 for w in W)
+        with pytest.raises(ValueError):
+            wishart_gram(RngSeed(0).generator(), 1, 0, 4)
+
+    @pytest.mark.parametrize("Q, L", [(16, 256), (64, 128), (8, 4)])
+    def test_moments_match_direct_draws(self, Q, L):
+        # Bartlett draws and Gram matrices of direct H draws both against the
+        # exact moments E W_kk = L, E|W_kj|^2 = L, E|W_kk|^2 = L(L+1),
+        # E tr W^2 = Q L (L + Q), and against each other; every |z| < 4
+        n = 1000
+        bartlett = np.concatenate(
+            [_gram_moments(wishart_gram(RngSeed(60, t).generator(), 100, Q, L)) for t in range(n // 100)]
+        )
+        direct = np.array([_gram_moments(_direct_gram(Q, L, RngSeed(61, t))) for t in range(n)])
+        exact = np.array([L, L, L * (L + 1), Q * L * (L + Q)], dtype=float)
+        for sample in (bartlett, direct):
+            z = (sample.mean(axis=0) - exact) / (sample.std(axis=0, ddof=1) / math.sqrt(n))
+            assert np.all(np.abs(z) < 4), z
+        se = np.sqrt((bartlett.var(axis=0, ddof=1) + direct.var(axis=0, ddof=1)) / n)
+        z = (bartlett.mean(axis=0) - direct.mean(axis=0)) / se
+        assert np.all(np.abs(z) < 4), z
 
 
 class TestWishartInverseTrace:

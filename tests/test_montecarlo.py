@@ -1,23 +1,26 @@
 """Monte Carlo estimator correctness, reproducibility, and convergence."""
 
+import numpy as np
 import pytest
 
 from ccdl.analytic import RateInputs, mf_rate, mf_rate_finite, rzf_rate, zf_rate
-from ccdl.channel import RngSeed
+from ccdl.channel import RngSeed, wishart_inv_trace_mc
 from ccdl.montecarlo import (
     McConfig,
     convergence_report,
     deterministic_equivalent_check,
     estimate_sum_rate,
 )
-from ccdl.precoding import PrecoderKind
+from ccdl.precoding import PrecoderKind, power_factor
 from ccdl.scheme import scheme_for_gain
+
+
+KINDS = {"MF": PrecoderKind.mf, "ZF": PrecoderKind.zf, "RZF": PrecoderKind.rzf}
 
 
 def mc(precoder: str, L: int, Q: int, G: int, trials: int, seed: int = 0, snr_db: float = 10.0) -> McConfig:
     scheme = scheme_for_gain(L, snr_db, G, Q, precoder=precoder)
-    kind = {"MF": PrecoderKind.mf, "ZF": PrecoderKind.zf, "RZF": PrecoderKind.rzf}[precoder]()
-    return McConfig(trials=trials, seed=RngSeed(seed), scheme=scheme, precoder=kind)
+    return McConfig(trials=trials, seed=RngSeed(seed), scheme=scheme, precoder=KINDS[precoder]())
 
 
 class TestEstimateSumRate:
@@ -87,12 +90,40 @@ class TestConvergenceReport:
         rows = convergence_report([16, 32, 64], 0.5, 5, 10.0, PrecoderKind.rzf(), 400, RngSeed(21))
         gaps = [r.rel_gap for r in rows]
         noise = [2 * r.std_error / r.analytic for r in rows]
-        assert all(gaps[i + 1] <= gaps[i] + noise[i + 1] for i in range(len(gaps) - 1))
+        # both gaps are estimates, so a rise is charged both points' noise
+        assert all(gaps[i + 1] <= gaps[i] + noise[i] + noise[i + 1] for i in range(len(gaps) - 1))
         assert gaps[-1] < 0.01
 
     def test_non_integer_streams_rejected(self):
         with pytest.raises(ValueError):
             convergence_report([16, 24], 0.3, 5, 10.0, PrecoderKind.mf(), 100, RngSeed(0))
+
+
+class _RefusingChannelDraws:
+    """A generator that refuses any normal draw with a dimension of L antennas."""
+
+    def __init__(self, gen, L):
+        self._gen, self._L = gen, L
+
+    def standard_normal(self, size):
+        assert self._L not in np.atleast_1d(size), f"normal draw of shape {size} has an L = {self._L} axis"
+        return self._gen.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def test_trials_draw_no_channel_matrix(monkeypatch):
+    # every seeded estimator draws Gram matrices only, never a Q x L channel
+    L, Q, G = 32, 8, 2
+    generator = RngSeed.generator
+    monkeypatch.setattr(RngSeed, "generator", lambda self: _RefusingChannelDraws(generator(self), L))
+    for precoder in ("MF", "ZF", "RZF"):
+        estimate_sum_rate(mc(precoder, L, Q, G, trials=100))
+        scheme = scheme_for_gain(L, 10.0, G, Q, precoder=precoder)
+        power_factor(KINDS[precoder](), scheme, mode="montecarlo", trials=10, seed=RngSeed(0))
+    wishart_inv_trace_mc(Q, L, 10, RngSeed(0))
+    deterministic_equivalent_check(Q / L, 10.0, L, 10, RngSeed(0))
 
 
 class TestDeterministicEquivalent:

@@ -13,6 +13,7 @@ from ccdl.precoding import (
     RankDeficient,
     build_precoder,
     cancellation_residual,
+    gram_powers,
     power_factor,
     stage_sinrs,
 )
@@ -86,6 +87,45 @@ class TestPowerFactor:
         scheme = scheme_for_gain(128, 10.0, 5, 64, precoder="RZF")
         rho = power_factor(PrecoderKind.rzf(), scheme, mode="montecarlo", trials=2000, seed=RngSeed(6))
         assert rho * rho == pytest.approx(17.573, rel=0.02)
+
+
+def _h_space_powers(H: np.ndarray, kind: PrecoderKind):
+    """Reference powers from the L x Q precoder itself: H V, its rows, Tr{V^H V}."""
+    V = build_precoder(H, kind)
+    P = np.abs(H @ V) ** 2
+    sig = np.diagonal(P).copy()
+    return sig, P.sum(axis=1) - sig, float(np.sum(np.abs(V) ** 2))
+
+
+class TestGramPowers:
+    @pytest.mark.parametrize(
+        "kind, Q, L",
+        [
+            (PrecoderKind.mf(), 16, 64),
+            (PrecoderKind.mf(), 8, 4),  # MF allows more streams than antennas
+            (PrecoderKind.zf(), 16, 64),
+            (PrecoderKind.rzf(64 / 10.0), 16, 64),
+            (PrecoderKind.rzf(64 * 1e6), 16, 64),  # low SNR: alpha = L / p_t at -60 dB
+            (PrecoderKind.rzf(0.01), 16, 64),
+        ],
+        ids=["mf", "mf-Q>L", "zf", "rzf", "rzf-low-snr", "rzf-high-snr"],
+    )
+    def test_matches_h_space_reference(self, kind, Q, L):
+        # every group of a batched call agrees with its own precoder to 1e-12,
+        # relative to that group's largest signal power (powers) and trace
+        channels = [draw_channel(Q, L, RngSeed(12, g)) for g in range(3)]
+        sig, intf, trace = gram_powers(np.stack([H @ H.conj().T for H in channels]), kind)
+        assert sig.shape == intf.shape == (3, Q) and trace.shape == (3,)
+        for g, H in enumerate(channels):
+            ref_sig, ref_intf, ref_trace = _h_space_powers(H, kind)
+            scale = np.max(ref_sig)
+            assert np.max(np.abs(sig[g] - ref_sig)) <= 1e-12 * scale
+            assert np.max(np.abs(intf[g] - ref_intf)) <= 1e-12 * scale
+            assert abs(trace[g] - ref_trace) <= 1e-12 * ref_trace
+
+    def test_rzf_needs_alpha(self):
+        with pytest.raises(ValueError):
+            gram_powers(np.eye(4, dtype=complex), PrecoderKind.rzf())
 
 
 class TestStageSinrs:
