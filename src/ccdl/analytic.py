@@ -23,6 +23,9 @@ from dataclasses import dataclass
 _SQRT_CLAMP = -1e-12
 
 PRECODER_NAMES = ("MF", "ZF", "RZF")
+# Precoders that invert the Gram matrix H H^H of a Q x L channel; it has
+# rank min(Q, L), so they need Q <= L streams.
+GRAM_INVERTING = ("ZF", "RZF")
 
 
 class COutOfRange(ValueError):

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 from ccdl import analytic, montecarlo, optimizer, scheme
@@ -49,7 +50,7 @@ CSV_COLUMNS = [
     "gain",
 ]
 
-ALL_PRECODERS = ("mf", "zf", "rzf")
+ALL_PRECODERS = tuple(name.lower() for name in analytic.PRECODER_NAMES)
 
 # Pilot accounting shared by every shipped preset: 10 pilot resources per
 # served user per block, 40 ms coherence time, 300 kHz coherence bandwidth.
@@ -90,7 +91,6 @@ class ExperimentSpec:
     stop: float | None = None
     step: float | None = None
     mode: str | None = None
-    preset: str | None = None
 
 
 def preset(name: str) -> ExperimentSpec:
@@ -175,24 +175,34 @@ def _zeta_model(spec: ExperimentSpec, G: int, L: int) -> tuple[float, CsiCostMod
     return 0.0, CsiCostModel(beta_tot=0.0, t_c=1.0, w_c=1.0)
 
 
-def _group_count(spec: ExperimentSpec) -> int:
-    if spec.G is not None:
-        return spec.G
-    if spec.lambda_states is not None and spec.gamma is not None:
-        checked = scheme.validate(
-            scheme.SchemeConfig(
-                L=spec.L, snr_db=spec.snr_db or 0.0, lambda_states=spec.lambda_states,
-                gamma=spec.gamma, K=spec.K or spec.lambda_states * (spec.Q or 1),
-                Q=spec.Q or 1, precoder="MF",
-            )
+def _resolve_scheme(spec: ExperimentSpec) -> tuple[int, scheme.ValidatedScheme | None]:
+    """Group count of a spec, with the scheme that --lambda/--gamma validate to.
+
+    --lambda with --gamma (users --K, default lambda * Q) give a validated
+    scheme and its G, which an explicit --G must equal; --G alone gives G
+    and no scheme.
+    """
+    if spec.lambda_states is None or spec.gamma is None:
+        if spec.G is None:
+            raise SpecError("need --G or --lambda with --gamma")
+        return spec.G, None
+    Q = 1 if spec.Q is None else spec.Q
+    checked = scheme.validate(
+        scheme.SchemeConfig(
+            L=spec.L, snr_db=spec.snr_db, lambda_states=spec.lambda_states, gamma=spec.gamma,
+            K=spec.lambda_states * Q if spec.K is None else spec.K, Q=Q, precoder="MF",
         )
-        return checked.G
-    raise SpecError("need --G or --lambda with --gamma")
+    )
+    if spec.G is not None and spec.G != checked.G:
+        raise SpecError(
+            f"--G {spec.G} disagrees with --lambda {spec.lambda_states} --gamma {spec.gamma}, which give G={checked.G}"
+        )
+    return checked.G, checked
 
 
 def _precoders(spec: ExperimentSpec) -> list[str]:
     if spec.precoder is None:
-        raise SpecError("need --precoder (mf, zf, rzf, or all)")
+        raise SpecError(f"need --precoder ({', '.join(ALL_PRECODERS)}, or all)")
     name = spec.precoder.lower()
     if name == "all":
         return list(ALL_PRECODERS)
@@ -201,117 +211,73 @@ def _precoders(spec: ExperimentSpec) -> list[str]:
     return [name]
 
 
-def _row(**values) -> dict:
-    row = {col: "" for col in CSV_COLUMNS}
-    row.update(values)
-    return row
+def _rate(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
+    report = analytic.effective_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, _p_t(spec)), zeta=zeta)
+    return dict(rate_nats=report.avg_sum_rate_nats, effective_rate_nats=report.effective_rate_nats)
 
 
-def _rate_rows(spec: ExperimentSpec) -> list[dict]:
-    _require(spec, "L", "Q", "snr_db")
-    G = _group_count(spec)
+def _simulate(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
+    if checked is None:
+        checked = scheme.scheme_for_gain(spec.L, spec.snr_db, G, spec.Q, K=spec.K, precoder=name)
+    else:
+        checked = scheme.validate(dataclasses.replace(checked, precoder=name))
+    est = montecarlo.estimate_sum_rate(
+        montecarlo.McConfig(trials=spec.trials, seed=RngSeed(spec.seed), scheme=checked, precoder=PrecoderKind(name))
+    )
+    return dict(
+        rate_nats=est.mean, effective_rate_nats=(1.0 - spec.Q / spec.L * zeta) * est.mean,
+        source=f"monte_carlo({spec.trials};{spec.seed})", trials=spec.trials, seed=spec.seed,
+    )
+
+
+def _optimize(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
     p_t = _p_t(spec)
-    zeta, _ = _zeta_model(spec, G, spec.L)
-    rows = []
-    for name in _precoders(spec):
-        report = analytic.effective_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, p_t), zeta=zeta)
-        rows.append(
-            _row(
-                precoder=name, L=spec.L, Q=spec.Q, G=G, snr_db=spec.snr_db, zeta=zeta,
-                c=spec.Q / spec.L, rate_nats=report.avg_sum_rate_nats,
-                rate_bits=report.avg_sum_rate_nats / math.log(2),
-                effective_rate_nats=report.effective_rate_nats, source=report.source,
-            )
-        )
-    return rows
+    report = optimizer.optimized_gain(name, G, spec.L, p_t, model)
+    q_star = report.cached.q_star
+    raw = analytic.effective_rate(name, RateInputs.from_streams(G, q_star, spec.L, p_t), model)
+    return dict(
+        Q=q_star, rate_nats=raw.avg_sum_rate_nats, effective_rate_nats=report.cached.effective_rate_at_q_star,
+        c_star=report.cached.c_star, q_star=q_star, gain=report.gain,
+    )
 
 
-def _simulate_rows(spec: ExperimentSpec) -> list[dict]:
-    _require(spec, "L", "Q", "snr_db")
-    G = _group_count(spec)
-    zeta, _ = _zeta_model(spec, G, spec.L)
-    rows = []
-    for name in _precoders(spec):
-        if spec.lambda_states is not None and spec.gamma is not None:
-            checked = scheme.validate(
-                scheme.SchemeConfig(
-                    L=spec.L, snr_db=spec.snr_db, lambda_states=spec.lambda_states,
-                    gamma=spec.gamma, K=spec.K or spec.lambda_states * spec.Q,
-                    Q=spec.Q, precoder=name,
-                )
-            )
-        else:
-            checked = scheme.scheme_for_gain(spec.L, spec.snr_db, G, spec.Q, K=spec.K, precoder=name)
-        est = montecarlo.estimate_sum_rate(
-            montecarlo.McConfig(
-                trials=spec.trials, seed=RngSeed(spec.seed), scheme=checked, precoder=PrecoderKind(name.upper()),
-            )
-        )
-        c = spec.Q / spec.L
-        rows.append(
-            _row(
-                precoder=name, L=spec.L, Q=spec.Q, G=G, snr_db=spec.snr_db, zeta=zeta, c=c,
-                rate_nats=est.mean, rate_bits=est.mean / math.log(2),
-                effective_rate_nats=(1.0 - c * zeta) * est.mean,
-                source=f"monte_carlo({spec.trials};{spec.seed})",
-                trials=spec.trials, seed=spec.seed,
-            )
-        )
-    return rows
-
-
-def _optimize_rows(spec: ExperimentSpec) -> list[dict]:
-    _require(spec, "L", "snr_db")
-    G = _group_count(spec)
+def _gain(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
     p_t = _p_t(spec)
-    rows = []
-    for name in _precoders(spec):
-        zeta, model = _zeta_model(spec, G, spec.L)
-        report = optimizer.optimized_gain(name, G, spec.L, p_t, model)
-        q_star = report.cached.q_star
-        raw = analytic.effective_rate(name, RateInputs.from_streams(G, q_star, spec.L, p_t), model)
-        rows.append(
-            _row(
-                precoder=name, L=spec.L, Q=q_star, G=G, snr_db=spec.snr_db, zeta=zeta,
-                c=q_star / spec.L, rate_nats=raw.avg_sum_rate_nats,
-                rate_bits=raw.avg_sum_rate_nats / math.log(2),
-                effective_rate_nats=report.cached.effective_rate_at_q_star,
-                source="closed_form", c_star=report.cached.c_star, q_star=q_star, gain=report.gain,
-            )
-        )
-    return rows
+    q_prime = spec.Q if spec.q_prime is None else spec.q_prime
+    num = analytic.effective_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, p_t), model)
+    return dict(
+        rate_nats=num.avg_sum_rate_nats, effective_rate_nats=num.effective_rate_nats,
+        gain=analytic.effective_gain(name, G, spec.Q, q_prime, spec.L, p_t, model),
+    )
 
 
-def _gain_rows(spec: ExperimentSpec) -> list[dict]:
-    _require(spec, "L", "Q", "snr_db")
-    G = _group_count(spec)
-    p_t = _p_t(spec)
-    q_prime = spec.q_prime if spec.q_prime is not None else spec.Q
+_MODES = {"rate": _rate, "simulate": _simulate, "optimize": _optimize, "gain": _gain}
+
+
+def _rows(spec: ExperimentSpec, mode: str) -> list[dict]:
+    """One row per precoder: the shared identity and rate columns, then the mode's own fields.
+
+    A mode maps (spec, precoder, G, the --lambda/--gamma scheme or None,
+    zeta, CSI model) to its fields, ``rate_nats`` always among them and
+    ``Q`` when it picks the stream count itself.
+    """
+    _require(spec, *(("L", "snr_db") if mode == "optimize" else ("L", "Q", "snr_db")))
+    G, checked = _resolve_scheme(spec)
     zeta, model = _zeta_model(spec, G, spec.L)
     rows = []
     for name in _precoders(spec):
-        num = analytic.effective_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, p_t), model)
-        den = analytic.effective_rate(name, RateInputs.from_streams(1, q_prime, spec.L, p_t), model)
-        if den.effective_rate_nats == 0:
-            raise analytic.ZeroDenominator("cacheless effective rate is zero")
-        rows.append(
-            _row(
-                precoder=name, L=spec.L, Q=spec.Q, G=G, snr_db=spec.snr_db, zeta=zeta,
-                c=spec.Q / spec.L, rate_nats=num.avg_sum_rate_nats,
-                rate_bits=num.avg_sum_rate_nats / math.log(2),
-                effective_rate_nats=num.effective_rate_nats, source="closed_form",
-                gain=num.effective_rate_nats / den.effective_rate_nats,
+        row = dict.fromkeys(CSV_COLUMNS, "")
+        row.update(precoder=name, L=spec.L, Q=spec.Q, G=G, snr_db=spec.snr_db, zeta=zeta, source="closed_form")
+        row.update(_MODES[mode](spec, name, G, checked, zeta, model))
+        row.update(c=row["Q"] / spec.L, rate_bits=row["rate_nats"] / math.log(2))
+        bad = [col for col, value in row.items() if isinstance(value, float) and not math.isfinite(value)]
+        if bad:
+            raise FloatingPointError(
+                f"{name} gives non-finite {', '.join(bad)} at L={spec.L}, Q={row['Q']}, G={G}, snr_db={spec.snr_db}"
             )
-        )
+        rows.append(row)
     return rows
 
-
-_MODE_BUILDERS = {
-    "rate": _rate_rows,
-    "simulate": _simulate_rows,
-    "optimize": _optimize_rows,
-    "gain": _gain_rows,
-}
 
 _INT_AXES = ("Q", "L", "G")
 _MAX_SWEEP_POINTS = 100_000
@@ -339,28 +305,16 @@ def _axis_values(spec: ExperimentSpec) -> list:
 
 def _sweep_rows(spec: ExperimentSpec) -> list[dict]:
     mode = spec.mode or "rate"
-    if mode not in _MODE_BUILDERS:
-        raise SpecError(f"sweep mode must be one of {sorted(_MODE_BUILDERS)}; got {mode!r}")
+    if mode not in _MODES:
+        raise SpecError(f"sweep mode must be one of {sorted(_MODES)}; got {mode!r}")
     values = _axis_values(spec)
 
     def one_point(value) -> list[dict]:
         point = dataclasses.replace(spec, **{spec.axis: value})
         _check_domain(point)
-        return _MODE_BUILDERS[mode](point)
+        return _rows(point, mode)
 
     return [row for rows in map_ordered(one_point, values) for row in rows]
-
-
-def _format(value) -> str:
-    if value == "":
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_csv(rows: list[dict], out: str | None) -> None:
@@ -369,7 +323,7 @@ def _write_csv(rows: list[dict], out: str | None) -> None:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_format(row[col]) for col in CSV_COLUMNS])
+            writer.writerow([row[col] for col in CSV_COLUMNS])
     finally:
         if out:
             stream.close()
@@ -379,22 +333,27 @@ def run(spec: ExperimentSpec) -> int:
     """Execute a resolved spec; returns the process exit status.
 
     Writes the CSV only after every point computed, so a written file is
-    complete; any validation or computation failure produces one
-    machine-readable line on stderr and a nonzero status.
+    complete; any validation or computation failure, a non-finite result
+    included, produces one machine-readable line on stderr and a nonzero
+    status.
     """
     try:
         _check_domain(spec)
-        if spec.command == "sweep":
-            rows = _sweep_rows(spec)
-        elif spec.command in _MODE_BUILDERS:
-            rows = _MODE_BUILDERS[spec.command](spec)
-        else:
-            raise SpecError(f"unknown command {spec.command!r}")
+        with warnings.catch_warnings(record=True) as caught:
+            if spec.command == "sweep":
+                rows = _sweep_rows(spec)
+            elif spec.command in _MODES:
+                rows = _rows(spec, spec.command)
+            else:
+                raise SpecError(f"unknown command {spec.command!r}")
         _write_csv(rows, spec.out)
-        return 0
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    # Warnings are shown only once every point computed, so a failure stays one line.
+    for w in caught:
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -428,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--start", type=float)
             p.add_argument("--stop", type=float)
             p.add_argument("--step", type=float)
-            p.add_argument("--mode", choices=sorted(_MODE_BUILDERS))
+            p.add_argument("--mode", choices=sorted(_MODES))
     return parser
 
 
@@ -449,7 +408,6 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
 
     if preset_name:
         spec = preset(preset_name)
-        spec.preset = preset_name
         spec.command = args.command
     else:
         spec = ExperimentSpec(command=args.command)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ccdl.analytic import (
+    GRAM_INVERTING,
     COutOfRange,
     CsiCostModel,
     CsiOverheadExceedsBlock,
@@ -279,15 +280,15 @@ def _optimize_side(precoder: str, G: int, L: int, p_t: float, model: CsiCostMode
     zeta = csi_zeta(model, G, L)
     if precoder == "MF":
         result = mf_opt_c(G, p_t, zeta)
-        cap = q_max
     elif precoder == "ZF":
         result = zf_opt_c(G, p_t, zeta)
-        cap = L if q_max is None else min(L, q_max)
     elif precoder == "RZF":
         result = rzf_opt_c(G, L, p_t, model)
-        cap = L if q_max is None else min(L, q_max)
     else:
         raise ValueError(f"unknown precoder {precoder!r}")
+    cap = q_max
+    if precoder in GRAM_INVERTING:
+        cap = L if q_max is None else min(L, q_max)
 
     def rate_fn(q: int) -> float:
         return effective_rate(precoder, RateInputs.from_streams(G, q, L, p_t), model).effective_rate_nats

@@ -32,7 +32,7 @@ class PrecoderKind:
     def __post_init__(self):
         name = self.name.upper()
         object.__setattr__(self, "name", name)
-        if name not in ("MF", "ZF", "RZF"):
+        if name not in analytic.PRECODER_NAMES:
             raise ValueError(f"unknown precoder {self.name!r}")
         if name == "RZF":
             if self.alpha is not None and self.alpha <= 0:

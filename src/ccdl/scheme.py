@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-PRECODER_NAMES = ("MF", "ZF", "RZF")
+from ccdl import analytic
 
 GAMMA_SNAP_TOL = 1e-9
 
@@ -68,7 +68,7 @@ class SchemeConfig:
     Q : int
         Streams (users served) per group.
     precoder : str
-        One of "MF", "ZF", "RZF".
+        One of ``analytic.PRECODER_NAMES``.
     """
 
     L: int
@@ -95,7 +95,15 @@ class ValidatedScheme:
     B: int
     c: float
     p_t: float
-    subpacketization: int
+
+    @property
+    def subpacketization(self) -> int:
+        """Subfiles per file, C(lambda, lambda*gamma).
+
+        Computed on access, not by :func:`validate`: near gamma = 1/2 the
+        count has about lambda bits and takes seconds to build at 1e6.
+        """
+        return math.comb(self.lambda_states, self.G - 1)
 
 
 @dataclass(frozen=True)
@@ -156,8 +164,8 @@ def validate(config) -> ValidatedScheme:
     K = int(config.K)
     Q = int(config.Q)
     precoder = str(config.precoder).upper()
-    if precoder not in PRECODER_NAMES:
-        raise SchemeError(f"unknown precoder {config.precoder!r}; expected one of {PRECODER_NAMES}")
+    if precoder not in analytic.PRECODER_NAMES:
+        raise SchemeError(f"unknown precoder {config.precoder!r}; expected one of {analytic.PRECODER_NAMES}")
     if L < 1 or lam < 1 or K < 1 or Q < 1:
         raise SchemeError("L, lambda_states, K and Q must all be positive")
 
@@ -175,7 +183,7 @@ def validate(config) -> ValidatedScheme:
     B = K // lam
     if Q > B:
         raise QExceedsGroupSize(f"Q={Q} exceeds users per group B={B}")
-    if precoder in ("ZF", "RZF") and Q > L:
+    if precoder in analytic.GRAM_INVERTING and Q > L:
         raise QExceedsAntennas(f"Q={Q} exceeds L={L} antennas ({precoder} needs Q <= L)")
 
     return ValidatedScheme(
@@ -190,7 +198,6 @@ def validate(config) -> ValidatedScheme:
         B=B,
         c=Q / L,
         p_t=10.0 ** (float(config.snr_db) / 10.0),
-        subpacketization=math.comb(lam, m),
     )
 
 

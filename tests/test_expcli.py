@@ -1,10 +1,20 @@
 """CLI surface: subcommands, presets, config precedence, CSV stability."""
 
+import contextlib
+import io
 import json
+import math
+import re
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccdl.expcli import CSV_COLUMNS, ExperimentSpec, main, preset, run
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 HEADER = "precoder,L,Q,G,snr_db,zeta,c,rate_nats,rate_bits,effective_rate_nats,source,trials,seed,c_star,q_star,gain"
 
@@ -119,6 +129,11 @@ class TestPresets:
         at_20db = next(r for r in rows if float(r["snr_db"]) == 20.0)
         assert float(at_20db["gain"]) == pytest.approx(3.1, abs=0.31)
 
+    @pytest.mark.parametrize("name", ["fig1", "fig2-L32", "fig2-L64", "fig3-L64"])
+    def test_all_precoder_csv_matches_golden(self, capsys, name):
+        assert main(["sweep", "--preset", name, "--precoder", "all"]) == 0
+        assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.csv").read_bytes()
+
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--preset", "fig9")
         assert code == 1
@@ -170,6 +185,21 @@ class TestErrors:
         assert lines == []
         assert err.startswith("error: SpecError:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["rate", "simulate"])
+    def test_conflicting_group_count_rejected(self, capsys, command):
+        code, lines, err = run_cli(capsys, command, "--precoder", "zf", "--G", "3", "--lambda", "10", "--gamma", "0.5",
+                                   "--K", "80", "--L", "16", "--Q", "8", "--snr-db", "10", "--trials", "100")
+        assert code == 1
+        assert lines == []
+        assert err.startswith("error: SpecError:") and err.count("\n") == 1
+
+    def test_zero_users_rejected(self, capsys):
+        code, lines, err = run_cli(capsys, "rate", "--precoder", "zf", "--lambda", "10", "--gamma", "0.5", "--K", "0",
+                                   "--L", "64", "--Q", "16", "--snr-db", "10")
+        assert code == 1
+        assert lines == []
+        assert err.startswith("error: SchemeError:") and err.count("\n") == 1
+
     def test_sweep_point_cap(self, capsys):
         code, lines, err = run_cli(capsys, "sweep", "--mode", "rate", "--precoder", "mf", "--G", "5", "--L", "64",
                                    "--snr-db", "10", "--axis", "Q", "--start", "1", "--stop", "1e9", "--step", "1e-9")
@@ -198,3 +228,46 @@ class TestOutputStability:
                               out=str(tmp_path / "rate.csv"))
         assert run(spec) == 0
         assert (tmp_path / "rate.csv").read_text().splitlines()[0] == HEADER
+
+
+_INTS = st.one_of(st.sampled_from([-1, 0, 1, 2, 64, 10**6, 10**9, 2**63]), st.integers(-2, 300))
+_OPTIONAL_INTS = st.one_of(st.none(), _INTS)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestInputDomainProperty:
+    """Every spec either computes finite rows or fails with one error line."""
+
+    @given(
+        command=st.sampled_from(["rate", "gain", "optimize"]),
+        precoder=st.sampled_from(["mf", "zf", "rzf", "all"]),
+        L=_INTS, Q=_INTS, q_prime=_OPTIONAL_INTS, G=_OPTIONAL_INTS, lambda_states=_OPTIONAL_INTS, K=_OPTIONAL_INTS,
+        gamma=st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.9, 1.0]), _FLOATS),
+        snr_db=st.one_of(st.sampled_from([-400.0, -100.0, -90.0, 0.0, 10.0, 160.0, 1600.0, 3080.0]), _FLOATS),
+        zeta=st.one_of(st.none(), st.sampled_from([0.0, 1e-300, 0.3, 1.0, 1e300]), _FLOATS),
+    )
+    @settings(max_examples=100, deadline=None)
+    # ZF overflows to inf and RZF's power constants to NaN; RZF at c > 1 warns before c' = 0 fails.
+    @example(command="rate", precoder="zf", L=10**6, Q=1, q_prime=None, G=1, lambda_states=None, K=None,
+             gamma=None, snr_db=3080.0, zeta=None)
+    @example(command="rate", precoder="rzf", L=64, Q=16, q_prime=None, G=1, lambda_states=None, K=None,
+             gamma=None, snr_db=1600.0, zeta=None)
+    @example(command="gain", precoder="rzf", L=4, Q=8, q_prime=0, G=2, lambda_states=None, K=None,
+             gamma=None, snr_db=10.0, zeta=None)
+    def test_finite_rows_or_one_error_line(self, **fields):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code = run(ExperimentSpec(**fields))
+        if code == 0:
+            rows = parse(out.getvalue().splitlines())
+            assert rows
+            for row in rows:
+                for col in CSV_COLUMNS:
+                    if col not in ("precoder", "source") and row[col] != "":
+                        assert math.isfinite(float(row[col])), (col, row)
+        else:
+            assert code == 1
+            assert out.getvalue() == "" and shown == []
+            assert re.fullmatch(r"error: [A-Za-z_]\w*: [^\n]*\n", err.getvalue()), err.getvalue()
