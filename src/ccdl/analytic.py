@@ -44,6 +44,10 @@ class ZeroDenominator(ZeroDivisionError):
     pass
 
 
+class SnrOutOfRange(ValueError):
+    """An SNR too large for a closed form that divides by z^2, z = 1/p_t, in doubles."""
+
+
 @dataclass(frozen=True)
 class RateInputs:
     """Operating point of one rate evaluation.
@@ -137,26 +141,30 @@ def _guarded_sqrt(x: float) -> float:
     return math.sqrt(x)
 
 
+def _check_transform_args(c: float, z: float) -> None:
+    if z <= 0:
+        raise ValueError(f"z={z} must be positive")
+    if c < 0:
+        raise ValueError(f"c={c} must be nonnegative")
+    if z * z < sys.float_info.min:
+        raise SnrOutOfRange(f"snr_db={-10.0 * math.log10(z):g} is out of range: z^2 = 1/p_t^2 underflows")
+
+
 def stieltjes(c: float, z: float) -> float:
     """Limit of the normalized resolvent trace at aspect ratio c.
 
     S_c(z) = 1/2 * (sqrt((1-c)^2/z^2 + 2(1+c)/z + 1) + (1-c)/z - 1)
     for z > 0, c >= 0.  S_0(z) = 1/z (resolvent of the zero matrix).
+    Raises :class:`SnrOutOfRange` where z^2 underflows (above ~1538 dB).
     """
-    if z <= 0:
-        raise ValueError(f"z={z} must be positive")
-    if c < 0:
-        raise ValueError(f"c={c} must be nonnegative")
+    _check_transform_args(c, z)
     disc = (1 - c) ** 2 / z**2 + 2 * (1 + c) / z + 1
     return 0.5 * (_guarded_sqrt(disc) + (1 - c) / z - 1)
 
 
 def stieltjes_deriv(c: float, z: float) -> float:
-    """Derivative of :func:`stieltjes` with respect to z (closed form)."""
-    if z <= 0:
-        raise ValueError(f"z={z} must be positive")
-    if c < 0:
-        raise ValueError(f"c={c} must be nonnegative")
+    """Derivative of :func:`stieltjes` with respect to z (closed form), on the same domain."""
+    _check_transform_args(c, z)
     disc = c * c + 2 * c * (z - 1) + (z + 1) ** 2
     root = _guarded_sqrt(disc)
     return 0.5 * ((-c * c - c * (z - 2) - z - 1) / (z * z * root) - (1 - c) / (z * z))
@@ -184,7 +192,7 @@ def rzf_deterministics(c: float, p_t: float) -> RzfDeterministics:
 
     disc = p_t * p_t * (c - 1) ** 2 + 2 * (c + 1) * p_t + 1
     denom_direct = a - (p_t / 2) * ((p_t * (c - 1) ** 2 + c + 1) / math.sqrt(disc) + (1 - c))
-    p_sq_direct = p_t / denom_direct
+    p_sq_direct = p_t / denom_direct if denom_direct else math.inf  # 0: the cancellation the gate below catches
     # b = a + ds/p_t cancels two a-sized terms, so float error in either
     # path grows like eps * a / b; widen the agreement gate accordingly.
     tol = max(1e-9, 16 * sys.float_info.epsilon * (a / b)) * max(1.0, abs(p_sq))

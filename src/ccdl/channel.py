@@ -109,31 +109,40 @@ _RESAMPLE_CAP = 8  # redraws allowed within one trial
 _SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to need a redraw
 
 
-def seeded_map(fn, trials: int, seed: RngSeed) -> list:
-    """Results of ``fn(gen)`` for trials 0..trials-1, in trial order.
+def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
+    """Each kernel's results over trials 0..trials-1: one list per kernel, in trial order.
 
-    Trial t runs on the generator of ``seed.substream(t)``, so its result
-    is a pure function of (seed, t) whatever order trials run in.  When
-    ``fn`` raises :class:`RankDeficient` the trial redraws from the same
-    generator.  More than 8 redraws in one trial, or redraws in more than
-    0.1% of the trials, raise :class:`SingularDraw`: that signals a defect
+    Trial t draws lazily from the generator of ``seed.substream(t)``: draw
+    i is the i-th ``draw(gen)`` call, made once and shared, so draws are a
+    pure function of (seed, t).  Each kernel takes the first draw it
+    accepts; raising :class:`RankDeficient` moves it to the next.  So each
+    kernel's results are exactly those it gets running alone.  For any
+    kernel, more than 8 redraws in one trial, or redraws in more than 0.1%
+    of the trials, raise :class:`SingularDraw`: that signals a defect
     rather than the measure-zero event a singular draw should be.
     """
 
-    def one_trial(t: int):
+    def one_trial(t: int) -> list:
         gen = seed.substream(t).generator()
-        for resamples in range(_RESAMPLE_CAP + 1):
-            try:
-                return fn(gen), resamples
-            except RankDeficient:
-                pass
-        raise SingularDraw(f"trial {t}: rank deficient on {_RESAMPLE_CAP + 1} draws in a row")
+        draws = []
 
-    results = map_ordered(one_trial, range(trials))
-    resampled = sum(1 for _, r in results if r)
+        def first_accepted(kernel):
+            for resamples in range(_RESAMPLE_CAP + 1):
+                if resamples == len(draws):
+                    draws.append(draw(gen))
+                try:
+                    return kernel(draws[resamples]), resamples
+                except RankDeficient:
+                    pass
+            raise SingularDraw(f"trial {t}: rank deficient on {_RESAMPLE_CAP + 1} draws in a row")
+
+        return [first_accepted(kernel) for kernel in kernels]
+
+    columns = list(zip(*map_ordered(one_trial, range(trials))))
+    resampled = max((sum(1 for _, r in column if r) for column in columns), default=0)
     if resampled > _SINGULAR_BUDGET * trials:
         raise SingularDraw(f"{resampled} of {trials} trials resampled, over the {_SINGULAR_BUDGET:.1%} budget")
-    return [value for value, _ in results]
+    return [[value for value, _ in column] for column in columns]
 
 
 def wishart_inv_trace_mc(Q: int, L: int, trials: int, rng: RngSeed) -> float:
@@ -148,13 +157,13 @@ def wishart_inv_trace_mc(Q: int, L: int, trials: int, rng: RngSeed) -> float:
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    def one_trial(gen: np.random.Generator) -> float:
-        w = np.linalg.eigvalsh(wishart_gram(gen, 1, Q, L)[0])
+    def inv_trace(W: np.ndarray) -> float:
+        w = np.linalg.eigvalsh(W)
         if not w[0] > w[-1] * 1e-12:
             raise RankDeficient("singular Gram matrix")
         return float(np.sum(1.0 / w))
 
-    return math.fsum(seeded_map(one_trial, trials, rng)) / trials
+    return math.fsum(seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [inv_trace], trials, rng)[0]) / trials
 
 
 def resolvent_trace(H: np.ndarray, z: float) -> float:

@@ -221,13 +221,8 @@ def _simulate(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, mod
         checked = scheme.scheme_for_gain(spec.L, spec.snr_db, G, spec.Q, K=spec.K, precoder=name)
     else:
         checked = scheme.validate(dataclasses.replace(checked, precoder=name))
-    est = montecarlo.estimate_sum_rate(
-        montecarlo.McConfig(trials=spec.trials, seed=RngSeed(spec.seed), scheme=checked, precoder=PrecoderKind(name))
-    )
-    return dict(
-        rate_nats=est.mean, effective_rate_nats=(1.0 - spec.Q / spec.L * zeta) * est.mean,
-        source=f"monte_carlo({spec.trials};{spec.seed})", trials=spec.trials, seed=spec.seed,
-    )
+    mc = montecarlo.McConfig(trials=spec.trials, seed=RngSeed(spec.seed), scheme=checked, precoder=PrecoderKind(name))
+    return dict(mc=mc, source=f"monte_carlo({spec.trials};{spec.seed})", trials=spec.trials, seed=spec.seed)
 
 
 def _optimize(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
@@ -255,11 +250,12 @@ _MODES = {"rate": _rate, "simulate": _simulate, "optimize": _optimize, "gain": _
 
 
 def _rows(spec: ExperimentSpec, mode: str) -> list[dict]:
-    """One row per precoder: the shared identity and rate columns, then the mode's own fields.
+    """One row per precoder: the shared identity columns, then the mode's own fields.
 
     A mode maps (spec, precoder, G, the --lambda/--gamma scheme or None,
-    zeta, CSI model) to its fields, ``rate_nats`` always among them and
-    ``Q`` when it picks the stream count itself.
+    zeta, CSI model) to its fields: ``rate_nats``, or for ``simulate`` the
+    Monte Carlo config ``mc`` that :func:`_finish` evaluates, and ``Q``
+    when it picks the stream count itself.
     """
     _require(spec, *(("L", "snr_db") if mode == "optimize" else ("L", "Q", "snr_db")))
     G, checked = _resolve_scheme(spec)
@@ -269,13 +265,21 @@ def _rows(spec: ExperimentSpec, mode: str) -> list[dict]:
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(precoder=name, L=spec.L, Q=spec.Q, G=G, snr_db=spec.snr_db, zeta=zeta, source="closed_form")
         row.update(_MODES[mode](spec, name, G, checked, zeta, model))
-        row.update(c=row["Q"] / spec.L, rate_bits=row["rate_nats"] / math.log(2))
+        rows.append(row)
+    return rows
+
+
+def _finish(rows: list[dict]) -> list[dict]:
+    """Fill the Monte Carlo rows by one shared estimate_sum_rates call, add c and rate_bits, reject non-finite rows."""
+    pending = [row for row in rows if "mc" in row]
+    for row, est in zip(pending, montecarlo.estimate_sum_rates([row.pop("mc") for row in pending])):
+        row.update(rate_nats=est.mean, effective_rate_nats=(1.0 - row["Q"] / row["L"] * row["zeta"]) * est.mean)
+    for row in rows:
+        row.update(c=row["Q"] / row["L"], rate_bits=row["rate_nats"] / math.log(2))
         bad = [col for col, value in row.items() if isinstance(value, float) and not math.isfinite(value)]
         if bad:
-            raise FloatingPointError(
-                f"{name} gives non-finite {', '.join(bad)} at L={spec.L}, Q={row['Q']}, G={G}, snr_db={spec.snr_db}"
-            )
-        rows.append(row)
+            at = ", ".join(f"{col}={row[col]}" for col in ("L", "Q", "G", "snr_db"))
+            raise FloatingPointError(f"{row['precoder']} gives non-finite {', '.join(bad)} at {at}")
     return rows
 
 
@@ -341,9 +345,9 @@ def run(spec: ExperimentSpec) -> int:
         _check_domain(spec)
         with warnings.catch_warnings(record=True) as caught:
             if spec.command == "sweep":
-                rows = _sweep_rows(spec)
+                rows = _finish(_sweep_rows(spec))
             elif spec.command in _MODES:
-                rows = _rows(spec, spec.command)
+                rows = _finish(_rows(spec, spec.command))
             else:
                 raise SpecError(f"unknown command {spec.command!r}")
         _write_csv(rows, spec.out)

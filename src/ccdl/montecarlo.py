@@ -59,34 +59,93 @@ def _mean_and_se(values: list[float]) -> tuple[float, float]:
     return mean, math.inf
 
 
-def estimate_sum_rate(mc: McConfig) -> McEstimate:
-    """Average over trials of the stage sum rate sum_k ln(1 + SINR_k).
+# Bytes of RZF signal and interference arrays one trial pass may hold; an
+# ensemble whose RZF kernels need more redraws its trials in further passes.
+_PASS_BYTES = 64 * 2**20
+_REDUCE_BLOCK = 1024  # trials per vectorized RZF reduction, bounding its temporaries
 
-    Each trial draws the Gram matrices of its G group channels and keeps
-    their unit-power signal and interference powers and the sum of their
-    precoder traces.  The power normalization rho^2 is the exact
-    expectation for MF/ZF; RZF has no finite-L closed form, so there
-    rho^2 = p_t / (mean trace) over exactly the trials the rates average.
-    Rank-deficient ZF draws are resampled under the policy of
-    :func:`ccdl.channel.seeded_map`.
+
+def _sum_rates(s, sig: np.ndarray, intf: np.ndarray) -> np.ndarray:
+    """sum_k ln(1 + s sig_k / (1 + s intf_k)) over the last axis, which holds the G*Q users."""
+    return np.log1p(s * sig / (1.0 + s * intf)).sum(axis=-1)
+
+
+def _fixed_kernel(kind: PrecoderKind, s: np.ndarray):
+    """MF/ZF trial kernel: the trial's sum rate at each row's s = rho^2 / G."""
+
+    def kernel(W: np.ndarray) -> np.ndarray:
+        sig, intf, _ = precoding.gram_powers(W, kind)
+        return _sum_rates(s[:, None], sig.reshape(-1), intf.reshape(-1))
+
+    return kernel
+
+
+def _rzf_kernel(kind: PrecoderKind, sig: np.ndarray, intf: np.ndarray):
+    """RZF trial kernel: returns the trial's trace sum and keeps its powers in row t of sig/intf.
+
+    The powers wait there until the mean trace fixes rho^2; t counts calls, since seeded_map calls
+    a kernel once per trial, in trial order.
     """
-    scheme = mc.scheme
-    kind = precoding._resolved(mc.precoder, scheme)
+    rows = iter(range(len(sig)))
 
-    def one_trial(gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
-        sig, intf, traces = precoding.gram_powers(wishart_gram(gen, scheme.G, scheme.Q, scheme.L), kind)
-        return sig, intf, float(traces.sum())
+    def kernel(W: np.ndarray) -> float:
+        trial_sig, trial_intf, traces = precoding.gram_powers(W, kind)
+        t = next(rows)
+        sig[t], intf[t] = trial_sig.reshape(-1), trial_intf.reshape(-1)
+        return float(traces.sum())
 
-    results = seeded_map(one_trial, mc.trials, mc.seed)
-    if kind.name == "RZF":
-        rho_sq = scheme.p_t / (math.fsum(trace for _, _, trace in results) / (mc.trials * scheme.G))
-    else:
-        rho = precoding.power_factor(kind, scheme, mode="exact")
-        rho_sq = rho * rho
-    s = rho_sq / scheme.G
-    values = [float(np.log1p(s * sig / (1.0 + s * intf)).sum()) for sig, intf, _ in results]
-    mean, std_error = _mean_and_se(values)
-    return McEstimate(mean=mean, std_error=std_error, trials=mc.trials)
+    return kernel
+
+
+def estimate_sum_rates(configs) -> list[McEstimate]:
+    """Average over trials of the stage sum rate sum_k ln(1 + SINR_k), for every config.
+
+    Each trial draws the Gram matrices of its G group channels; a kernel
+    per precoder turns them into unit-power signal and interference powers
+    and precoder traces.  rho^2 is the exact expectation for MF/ZF,
+    resolved before any trial runs, and p_t / (mean trace) over the same
+    trials for RZF, which has no finite-L closed form.  Configs sharing
+    (seed, trials, G, Q, L) share their draws, which depend on neither SNR
+    nor precoder: such an ensemble runs one :func:`ccdl.channel.seeded_map`
+    pass with MF and ZF once and RZF once per alpha, and each estimate is
+    bit-equal to its config's run alone.  RZF kernels whose stored powers
+    would pass 64 MiB split over further passes that redraw the same trials.
+    """
+    configs = list(configs)
+    ensembles = {}
+    for i, mc in enumerate(configs):
+        sch = mc.scheme
+        kind = precoding._resolved(mc.precoder, sch)
+        rho = None if kind.name == "RZF" else precoding.power_factor(kind, sch, mode="exact")
+        plan = ensembles.setdefault((mc.seed, mc.trials, sch.G, sch.Q, sch.L), {})
+        plan.setdefault(kind, []).append((i, sch.p_t if rho is None else rho * rho / sch.G))
+
+    estimates = [None] * len(configs)
+    for (seed, trials, G, Q, L), plan in ensembles.items():
+        fixed = [kind for kind in plan if kind.name != "RZF"]
+        rzf = [kind for kind in plan if kind.name == "RZF"]
+        per_pass = max(1, _PASS_BYTES // (16 * trials * G * Q))
+        for start in range(0, max(len(rzf), 1), per_pass):
+            chunk, kinds = rzf[start : start + per_pass], fixed if start == 0 else []
+            stores = [(np.empty((trials, G * Q)), np.empty((trials, G * Q))) for _ in chunk]
+            kernels = [_rzf_kernel(kind, *store) for kind, store in zip(chunk, stores)]
+            kernels += [_fixed_kernel(kind, np.array([s for _, s in plan[kind]])) for kind in kinds]
+            columns = seeded_map(lambda gen: wishart_gram(gen, G, Q, L), kernels, trials, seed)
+            for kind, (sig, intf), traces in zip(chunk, stores, columns):
+                mean_trace = math.fsum(traces) / (trials * G)
+                for i, p_t in plan[kind]:
+                    blocks = [slice(b, b + _REDUCE_BLOCK) for b in range(0, trials, _REDUCE_BLOCK)]
+                    values = [v for b in blocks for v in _sum_rates(p_t / mean_trace / G, sig[b], intf[b]).tolist()]
+                    estimates[i] = McEstimate(*_mean_and_se(values), trials)
+            for kind, column in zip(kinds, columns[len(chunk) :]):
+                for (i, _), values in zip(plan[kind], np.array(column).T.tolist()):
+                    estimates[i] = McEstimate(*_mean_and_se(values), trials)
+    return estimates
+
+
+def estimate_sum_rate(mc: McConfig) -> McEstimate:
+    """:func:`estimate_sum_rates` of one config."""
+    return estimate_sum_rates([mc])[0]
 
 
 def convergence_report(
@@ -140,11 +199,10 @@ def deterministic_equivalent_check(
     Q = max(int(round(c * L)), 1)
     alpha = L / p_t
 
-    def one_trial(gen: np.random.Generator) -> float:
-        W = wishart_gram(gen, 1, Q, L)[0]
+    def quadratic_form(W: np.ndarray) -> float:
         r00 = np.linalg.inv(W + alpha * np.eye(Q))[0, 0].real
         return float(1.0 / (alpha * r00) - 1.0)
 
-    a_emp = math.fsum(seeded_map(one_trial, trials, seed)) / trials
+    a_emp = math.fsum(seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [quadratic_form], trials, seed)[0]) / trials
     a_theory = analytic.stieltjes(c, 1.0 / p_t)
     return a_emp, a_theory, abs(a_emp - a_theory) / a_theory

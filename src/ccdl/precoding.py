@@ -122,8 +122,7 @@ def power_factor(
 
     alpha = kind.resolve_alpha(L, p_t) if kind.name == "RZF" else None
 
-    def trace_one(gen: np.random.Generator) -> float:
-        W = wishart_gram(gen, 1, Q, L)[0]
+    def trace_one(W: np.ndarray) -> float:
         if kind.name == "MF":
             return float(np.trace(W).real)
         s2 = np.clip(np.linalg.eigvalsh(W), 0.0, None)
@@ -131,7 +130,7 @@ def power_factor(
             return float(np.sum(1.0 / s2))
         return float(np.sum(s2 / (s2 + alpha) ** 2))
 
-    mean_trace = math.fsum(seeded_map(trace_one, trials, seed)) / trials
+    mean_trace = math.fsum(seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [trace_one], trials, seed)[0]) / trials
     return math.sqrt(p_t / mean_trace)
 
 

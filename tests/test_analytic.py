@@ -11,6 +11,7 @@ from ccdl.analytic import (
     CsiCostModel,
     CsiOverheadExceedsBlock,
     RateInputs,
+    SnrOutOfRange,
     ZeroDenominator,
     csi_zeta,
     effective_gain,
@@ -116,6 +117,20 @@ class TestStieltjes:
         h = 1e-6 * z
         fd = (stieltjes(c, z + h) - stieltjes(c, z - h)) / (2 * h)
         assert stieltjes_deriv(c, z) == pytest.approx(fd, rel=1e-6)
+
+
+    def test_values_at_140_db_pinned(self):
+        z = 1e-14
+        assert stieltjes(0.25, z) == 75000000000000.33
+        assert stieltjes_deriv(0.25, z) == -7.5e27
+        assert rzf_rate(RateInputs.from_streams(1, 16, 64, 1.0 / z)) == 533.6088311608455
+
+    @pytest.mark.parametrize("z", [1e-160, 1e-200, 5e-324])
+    def test_z_squared_underflow_is_a_typed_domain_error(self, z):
+        for fn in (stieltjes, stieltjes_deriv):
+            with pytest.raises(SnrOutOfRange, match="snr_db="):
+                fn(0.25, z)
+        assert issubclass(SnrOutOfRange, ValueError)
 
 
 class TestRzfDeterministics:

@@ -153,50 +153,70 @@ def _first_draws(seed: RngSeed, t: int, n: int) -> list[float]:
     return [float(gen.random()) for _ in range(n)]
 
 
-def _rejecting(rejected: set[float]):
-    """A trial that draws one uniform and reports a singular draw on ``rejected``."""
+def _uniform(gen) -> float:
+    return float(gen.random())
 
-    def fn(gen) -> float:
-        x = float(gen.random())
+
+def _rejecting(rejected: set[float]):
+    """A kernel that returns its uniform draw and reports a singular draw on ``rejected``."""
+
+    def kernel(x: float) -> float:
         if x in rejected:
             raise RankDeficient("test rejection")
         return x
 
-    return fn
+    return kernel
 
 
 class TestSeededMap:
     SEED = RngSeed(77)
 
     def test_trial_results_in_order(self):
-        assert seeded_map(_rejecting(set()), 5, self.SEED) == [_first_draws(self.SEED, t, 1)[0] for t in range(5)]
+        got = seeded_map(_uniform, [_rejecting(set())], 5, self.SEED)
+        assert got == [[_first_draws(self.SEED, t, 1)[0] for t in range(5)]]
 
     def test_resample_takes_next_draw_of_own_substream(self):
         first, second = _first_draws(self.SEED, 3, 2)
-        got = seeded_map(_rejecting({first}), 2000, self.SEED)
+        (got,) = seeded_map(_uniform, [_rejecting({first})], 2000, self.SEED)
         assert got[3] == second
         assert got[4] == _first_draws(self.SEED, 4, 1)[0]
 
     def test_eight_resamples_allowed_ninth_raises(self):
         # 1000 trials keep one resampled trial within the 0.1% budget
         draws = _first_draws(self.SEED, 0, 10)
-        assert seeded_map(_rejecting(set(draws[:8])), 1000, self.SEED)[0] == draws[8]
+        assert seeded_map(_uniform, [_rejecting(set(draws[:8]))], 1000, self.SEED)[0][0] == draws[8]
         with pytest.raises(SingularDraw, match="in a row"):
-            seeded_map(_rejecting(set(draws[:9])), 1000, self.SEED)
+            seeded_map(_uniform, [_rejecting(set(draws[:9]))], 1000, self.SEED)
 
     def test_singular_budget(self):
         # 0.1% of 2000 trials: two resampled trials pass, a third fails
         firsts = [_first_draws(self.SEED, t, 1)[0] for t in range(3)]
-        assert len(seeded_map(_rejecting(set(firsts[:2])), 2000, self.SEED)) == 2000
+        assert len(seeded_map(_uniform, [_rejecting(set(firsts[:2]))], 2000, self.SEED)[0]) == 2000
         with pytest.raises(SingularDraw, match="budget"):
-            seeded_map(_rejecting(set(firsts)), 2000, self.SEED)
+            seeded_map(_uniform, [_rejecting(set(firsts))], 2000, self.SEED)
+
+    def test_sibling_kernels_share_draws_and_match_solo_runs(self):
+        first, second = _first_draws(self.SEED, 3, 2)
+        rejecter, taker = _rejecting({first}), _rejecting(set())
+        solo = [seeded_map(_uniform, [k], 1000, self.SEED)[0] for k in (rejecter, taker)]
+        for kernels, order in (([rejecter, taker], (0, 1)), ([taker, rejecter], (1, 0))):
+            drawn = []
+
+            def draw(gen) -> float:
+                drawn.append(_uniform(gen))
+                return drawn[-1]
+
+            got = seeded_map(draw, kernels, 1000, self.SEED)
+            assert got[order[0]][3] == second and got[order[1]][3] == first
+            assert [got[order[0]], got[order[1]]] == solo
+            assert len(drawn) == 1001  # trial 3's draw 1 is the only extra draw
 
     def test_worker_count_invariance(self, monkeypatch):
-        fn = _rejecting({_first_draws(self.SEED, 1, 1)[0]})
+        kernels = [_rejecting({_first_draws(self.SEED, 1, 1)[0]})]
         monkeypatch.setenv("CCDL_THREADS", "1")
-        serial = seeded_map(fn, 1000, self.SEED)
+        serial = seeded_map(_uniform, kernels, 1000, self.SEED)
         monkeypatch.setenv("CCDL_THREADS", "2")
-        assert seeded_map(fn, 1000, self.SEED) == serial
+        assert seeded_map(_uniform, kernels, 1000, self.SEED) == serial
 
     def test_precoding_shares_the_exception(self):
         assert PrecodingRankDeficient is RankDeficient

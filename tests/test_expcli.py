@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ccdl import montecarlo
 from ccdl.expcli import CSV_COLUMNS, ExperimentSpec, main, preset, run
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -206,6 +207,72 @@ class TestErrors:
         assert code == 1
         assert lines == []
         assert err.startswith("error: SpecError:")
+
+
+class TestHighSnr:
+    RZF = ("--precoder", "rzf", "--G", "1", "--L", "64")
+
+    @pytest.mark.parametrize("command, snr_db, error", [
+        ("rate", "1000", "NonPositiveB"),  # the two RZF power-factor paths part ways
+        ("rate", "2000", "SnrOutOfRange"),
+        ("optimize", "2000", "SnrOutOfRange"),
+    ])
+    def test_typed_error_line(self, capsys, command, snr_db, error):
+        streams = ("--Q", "16") if command == "rate" else ()
+        code, lines, err = run_cli(capsys, command, *self.RZF, *streams, "--snr-db", snr_db)
+        assert code == 1
+        assert lines == []
+        assert err.startswith(f"error: {error}:") and err.count("\n") == 1
+        if error == "SnrOutOfRange":
+            assert f"snr_db={snr_db}" in err
+
+
+# The benchmark's mc-hardening call: 5 SNRs x 3 precoders on one (seed, trials, G, Q, L) ensemble.
+HARDENING = ["sweep", "--mode", "simulate", "--axis", "snr_db", "--start", "0", "--stop", "20", "--step", "5",
+             "--precoder", "all", "--G", "5", "--L", "256", "--Q", "16", "--trials", "100", "--seed", "7"]
+
+
+def _counting_draws(monkeypatch) -> list:
+    calls = []
+    draw = montecarlo.wishart_gram
+
+    def counted(*args):
+        calls.append(args[1:])
+        return draw(*args)
+
+    monkeypatch.setattr(montecarlo, "wishart_gram", counted)
+    return calls
+
+
+class TestSharedEnsembles:
+    def test_sweep_equals_per_point_per_precoder_simulate_calls(self, capsys):
+        sweep = ["sweep", "--mode", "simulate", "--axis", "snr_db", "--start", "0", "--stop", "20", "--step", "10",
+                 "--precoder", "all", "--G", "3", "--L", "32", "--Q", "8", "--trials", "100", "--seed", "4"]
+        code, lines, _ = run_cli(capsys, *sweep)
+        assert code == 0
+        expected = [HEADER]
+        for snr in ("0.0", "10.0", "20.0"):
+            for name in ("mf", "zf", "rzf"):
+                code, single, _ = run_cli(capsys, "simulate", "--precoder", name, "--G", "3", "--L", "32", "--Q", "8",
+                                          "--snr-db", snr, "--trials", "100", "--seed", "4")
+                assert code == 0 and single[0] == HEADER
+                expected += single[1:]
+        assert lines == expected
+
+    def test_hardening_call_draws_each_trial_once(self, capsys, monkeypatch):
+        calls = _counting_draws(monkeypatch)
+        assert run_cli(capsys, *HARDENING)[0] == 0
+        assert len(calls) == 100 and set(calls) == {(5, 16, 256)}
+
+    @pytest.mark.parametrize("kernels_per_pass, passes", [(2, 3), (1, 5)])
+    def test_pass_split_keeps_output(self, capsys, monkeypatch, kernels_per_pass, passes):
+        code, lines, _ = run_cli(capsys, *HARDENING)
+        assert code == 0
+        calls = _counting_draws(monkeypatch)
+        # one RZF kernel stores two (trials, G*Q) float arrays
+        monkeypatch.setattr(montecarlo, "_PASS_BYTES", kernels_per_pass * 2 * 100 * 5 * 16 * 8)
+        assert run_cli(capsys, *HARDENING) == (0, lines, "")
+        assert len(calls) == passes * 100
 
 
 class TestOutputStability:

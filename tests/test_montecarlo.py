@@ -1,15 +1,19 @@
 """Monte Carlo estimator correctness, reproducibility, and convergence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ccdl.analytic import RateInputs, mf_rate, mf_rate_finite, rzf_rate, zf_rate
+from ccdl import montecarlo
 from ccdl.channel import RngSeed, wishart_inv_trace_mc
 from ccdl.montecarlo import (
     McConfig,
     convergence_report,
     deterministic_equivalent_check,
     estimate_sum_rate,
+    estimate_sum_rates,
 )
 from ccdl.precoding import PrecoderKind, power_factor
 from ccdl.scheme import scheme_for_gain
@@ -124,6 +128,33 @@ def test_trials_draw_no_channel_matrix(monkeypatch):
         power_factor(KINDS[precoder](), scheme, mode="montecarlo", trials=10, seed=RngSeed(0))
     wishart_inv_trace_mc(Q, L, 10, RngSeed(0))
     deterministic_equivalent_check(Q / L, 10.0, L, 10, RngSeed(0))
+
+
+class TestEstimateSumRates:
+    def test_mixed_list_equals_each_config_alone(self):
+        configs = [
+            mc(p, L, Q, 3, trials=120, seed=seed, snr_db=snr)
+            for seed in (3, 8)
+            for L, Q in ((16, 4), (24, 12))
+            for snr in (0.0, 10.0, 20.0)
+            for p in ("MF", "ZF", "RZF")
+        ]
+        # an explicit alpha shares one RZF kernel across SNRs of one ensemble
+        configs += [dataclasses.replace(configs[i], precoder=PrecoderKind.rzf(0.5)) for i in (0, 6)]
+        alone = [estimate_sum_rate(c) for c in configs]
+        assert estimate_sum_rates(configs) == alone
+        assert estimate_sum_rates(configs[::-1]) == alone[::-1]
+
+    def test_exact_power_factors_resolve_before_any_trial(self, monkeypatch):
+        configs = [mc("MF", 16, 4, 2, trials=100), mc("ZF", 16, 4, 2, trials=100)]
+        square = dataclasses.replace(configs[1], scheme=scheme_for_gain(16, 10.0, 2, 16, precoder="ZF"))
+
+        def no_draws(*args):
+            raise AssertionError("drew a trial")
+
+        monkeypatch.setattr(montecarlo, "wishart_gram", no_draws)
+        with pytest.raises(ValueError, match="needs L > Q"):
+            estimate_sum_rates([*configs, square])
 
 
 class TestDeterministicEquivalent:
