@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccdl._parallel import map_ordered
+from ccdl._parallel import map_blocks, map_ordered
 
 _U64 = 2**64
 
@@ -74,10 +74,12 @@ def draw_channel(Q: int, L: int, rng: RngSeed) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _strict_lower(Q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _bartlett_layout(Q: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float-view indices of a Q x m factor's strictly lower entries (real, then imaginary parts) and diagonal."""
     rows, cols = np.tril_indices(Q, -1, m)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    lower, diag = ((rows * 2 * m + 2 * cols) + np.arange(2)[:, None]).ravel(), np.arange(m) * (2 * m + 2)
+    lower.flags.writeable = diag.flags.writeable = False
+    return lower, diag
 
 
 def wishart_gram(gen: np.random.Generator, G: int, Q: int, L: int) -> np.ndarray:
@@ -95,18 +97,18 @@ def wishart_gram(gen: np.random.Generator, G: int, Q: int, L: int) -> np.ndarray
     if G < 1 or Q < 1 or L < 1:
         raise ValueError(f"G={G}, Q={Q} and L={L} must be positive")
     m = min(Q, L)
-    rows, cols = _strict_lower(Q, m)
-    z = gen.standard_normal((G, 2, rows.size))
-    diag = np.sqrt(gen.standard_gamma(np.arange(L, L - m, -1, dtype=float), (G, m)))
+    lower, diag = _bartlett_layout(Q, m)
+    z = gen.standard_normal((G, lower.size))
     T = np.zeros((G, Q, m), dtype=complex)
-    T[:, rows, cols] = (z[:, 0] + 1j * z[:, 1]) * np.sqrt(0.5)
-    idx = np.arange(m)
-    T[:, idx, idx] = diag
+    parts = T.view(float).reshape(G, -1)
+    parts[:, lower] = z * math.sqrt(0.5)
+    parts[:, diag] = np.sqrt(gen.standard_gamma(np.arange(L, L - m, -1, dtype=float), (G, m)))
     return T @ T.conj().transpose(0, 2, 1)
 
 
 _RESAMPLE_CAP = 8  # redraws allowed within one trial
 _SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to need a redraw
+_THREAD_MIN_Q = 32  # narrowest draw run on threads: on 2 vCPUs they lost at Q = 16, won from 32 (BENCH_7.json)
 
 
 def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
@@ -119,12 +121,14 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
     kernel's results are exactly those it gets running alone.  For any
     kernel, more than 8 redraws in one trial, or redraws in more than 0.1%
     of the trials, raise :class:`SingularDraw`: that signals a defect
-    rather than the measure-zero event a singular draw should be.
+    rather than the measure-zero event a singular draw should be.  If
+    trial 0's first draw stacks Q x Q matrices with Q >= _THREAD_MIN_Q,
+    trials 1.. run through :func:`ccdl._parallel.map_blocks`, with the
+    serial loop's results and first error.
     """
 
-    def one_trial(t: int) -> list:
+    def one_trial(t: int, draws: list) -> list:
         gen = seed.substream(t).generator()
-        draws = []
 
         def first_accepted(kernel):
             for resamples in range(_RESAMPLE_CAP + 1):
@@ -138,7 +142,14 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
 
         return [first_accepted(kernel) for kernel in kernels]
 
-    columns = list(zip(*map_ordered(one_trial, range(trials))))
+    if trials < 1 or not kernels:
+        return []
+    first = []
+    rows = [one_trial(0, first)]
+    width = np.shape(first[0])[-1] if np.ndim(first[0]) else 0
+    run = map_blocks if width >= _THREAD_MIN_Q else map_ordered
+    rows += run(lambda t: one_trial(t, []), range(1, trials))
+    columns = list(zip(*rows))
     resampled = max((sum(1 for _, r in column if r) for column in columns), default=0)
     if resampled > _SINGULAR_BUDGET * trials:
         raise SingularDraw(f"{resampled} of {trials} trials resampled, over the {_SINGULAR_BUDGET:.1%} budget")

@@ -59,10 +59,9 @@ def _mean_and_se(values: list[float]) -> tuple[float, float]:
     return mean, math.inf
 
 
-# Bytes of RZF signal and interference arrays one trial pass may hold; an
-# ensemble whose RZF kernels need more redraws its trials in further passes.
-_PASS_BYTES = 64 * 2**20
+_PASS_BYTES = 64 * 2**20  # RZF powers one trial pass may keep; more alphas redraw the trials in further passes
 _REDUCE_BLOCK = 1024  # trials per vectorized RZF reduction, bounding its temporaries
+_RZF = PrecoderKind.rzf()
 
 
 def _sum_rates(s, sig: np.ndarray, intf: np.ndarray) -> np.ndarray:
@@ -80,19 +79,12 @@ def _fixed_kernel(kind: PrecoderKind, s: np.ndarray):
     return kernel
 
 
-def _rzf_kernel(kind: PrecoderKind, sig: np.ndarray, intf: np.ndarray):
-    """RZF trial kernel: returns the trial's trace sum and keeps its powers in row t of sig/intf.
+def _rzf_kernel(alphas: np.ndarray):
+    """RZF trial kernel: the trial's powers and trace sum, one row per alpha, kept until the mean trace fixes rho^2."""
 
-    The powers wait there until the mean trace fixes rho^2; t counts calls, since seeded_map calls
-    a kernel once per trial, in trial order.
-    """
-    rows = iter(range(len(sig)))
-
-    def kernel(W: np.ndarray) -> float:
-        trial_sig, trial_intf, traces = precoding.gram_powers(W, kind)
-        t = next(rows)
-        sig[t], intf[t] = trial_sig.reshape(-1), trial_intf.reshape(-1)
-        return float(traces.sum())
+    def kernel(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sig, intf, traces = precoding.gram_powers(W, _RZF, alphas)
+        return sig.reshape(len(alphas), -1), intf.reshape(len(alphas), -1), traces.sum(axis=-1)
 
     return kernel
 
@@ -107,9 +99,10 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
     trials for RZF, which has no finite-L closed form.  Configs sharing
     (seed, trials, G, Q, L) share their draws, which depend on neither SNR
     nor precoder: such an ensemble runs one :func:`ccdl.channel.seeded_map`
-    pass with MF and ZF once and RZF once per alpha, and each estimate is
-    bit-equal to its config's run alone.  RZF kernels whose stored powers
-    would pass 64 MiB split over further passes that redraw the same trials.
+    pass with MF and ZF once and one RZF kernel over the stack of its
+    alphas, and each estimate is bit-equal to its config's run alone.  RZF
+    alphas whose kept powers would pass 64 MiB split over further passes
+    that redraw the same trials.
     """
     configs = list(configs)
     ensembles = {}
@@ -127,18 +120,21 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
         per_pass = max(1, _PASS_BYTES // (16 * trials * G * Q))
         for start in range(0, max(len(rzf), 1), per_pass):
             chunk, kinds = rzf[start : start + per_pass], fixed if start == 0 else []
-            stores = [(np.empty((trials, G * Q)), np.empty((trials, G * Q))) for _ in chunk]
-            kernels = [_rzf_kernel(kind, *store) for kind, store in zip(chunk, stores)]
-            kernels += [_fixed_kernel(kind, np.array([s for _, s in plan[kind]])) for kind in kinds]
+            kernels = [_fixed_kernel(kind, np.array([s for _, s in plan[kind]])) for kind in kinds]
+            kernels += [_rzf_kernel(np.array([kind.alpha for kind in chunk]))] if chunk else []
             columns = seeded_map(lambda gen: wishart_gram(gen, G, Q, L), kernels, trials, seed)
-            for kind, (sig, intf), traces in zip(chunk, stores, columns):
-                mean_trace = math.fsum(traces) / (trials * G)
-                for i, p_t in plan[kind]:
-                    blocks = [slice(b, b + _REDUCE_BLOCK) for b in range(0, trials, _REDUCE_BLOCK)]
-                    values = [v for b in blocks for v in _sum_rates(p_t / mean_trace / G, sig[b], intf[b]).tolist()]
-                    estimates[i] = McEstimate(*_mean_and_se(values), trials)
-            for kind, column in zip(kinds, columns[len(chunk) :]):
+            for kind, column in zip(kinds, columns):
                 for (i, _), values in zip(plan[kind], np.array(column).T.tolist()):
+                    estimates[i] = McEstimate(*_mean_and_se(values), trials)
+            per_trial = columns[-1] if chunk else []  # (sig, intf, traces) of each trial, one row per alpha
+            for a, kind in enumerate(chunk):
+                mean_trace = math.fsum(traces[a] for _, _, traces in per_trial) / (trials * G)
+                for i, p_t in plan[kind]:
+                    values = []
+                    for b in range(0, trials, _REDUCE_BLOCK):
+                        block = per_trial[b : b + _REDUCE_BLOCK]
+                        sig, intf = np.stack([s[a] for s, _, _ in block]), np.stack([f[a] for _, f, _ in block])
+                        values += _sum_rates(p_t / mean_trace / G, sig, intf).tolist()
                     estimates[i] = McEstimate(*_mean_and_se(values), trials)
     return estimates
 

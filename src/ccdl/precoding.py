@@ -140,7 +140,7 @@ def _resolved(kind: PrecoderKind, scheme: ValidatedScheme) -> PrecoderKind:
     return kind
 
 
-def gram_powers(W: np.ndarray, kind: PrecoderKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unit-power signal and interference per user, and Tr{V^H V}, from Gram matrices.
 
     ``W`` stacks Q x Q Gram matrices H H^H (shape (..., Q, Q)); every
@@ -150,7 +150,8 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind) -> tuple[np.ndarray, np.ndarr
     |[W R]_kk|^2 and its interference the sum over j != k of |[W R]_kj|^2;
     scaling both by rho^2/G gives the stage SINR.  Returns arrays of shape
     (..., Q), (..., Q) and (...).  ZF raises :class:`RankDeficient` when
-    W is singular or W R strays from the identity.
+    W is singular or W R strays from the identity.  RZF takes n stacked
+    ``alphas`` in place of ``kind.alpha``, adding a leading axis of size n.
     """
     if kind.name == "MF":
         M = W
@@ -170,11 +171,12 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind) -> tuple[np.ndarray, np.ndarr
                 raise RankDeficient(f"ZF identity residual {err:.2e} on a near-singular draw")
             trace = np.trace(R, axis1=-2, axis2=-1).real
         else:
-            if kind.alpha is None:
+            alpha = kind.alpha if alphas is None else np.reshape(alphas, (-1,) + (1,) * W.ndim)
+            if alpha is None:
                 raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
             # not I - alpha R or Tr R - alpha ||R||_F^2: both cancel when
             # alpha = L / p_t is large (low SNR)
-            R = np.linalg.inv(W + kind.alpha * eye)
+            R = np.linalg.inv(W + alpha * eye)
             M = W @ R
             trace = np.einsum("...ij,...ji->...", R, M).real
     P = np.abs(M) ** 2

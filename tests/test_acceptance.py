@@ -218,7 +218,7 @@ def test_criterion_7_cancellation_identity():
     assert report(7, ok, f"worst residual {worst:.2e} over 100 seeds x 3 precoders (<1e-9)")
 
 
-def test_criterion_8_reproducibility(tmp_path, monkeypatch):
+def test_criterion_8_reproducibility(tmp_path, trial_workers):
     """simulate and sweep are bit-stable across runs and worker counts."""
     simulate = ["simulate", "--precoder", "rzf", "--G", "3", "--L", "16", "--Q", "8",
                 "--snr-db", "10", "--trials", "200", "--seed", "7"]
@@ -227,8 +227,8 @@ def test_criterion_8_reproducibility(tmp_path, monkeypatch):
     ok = True
     for name, args in (("simulate", simulate), ("sweep", sweep)):
         outputs = []
-        for i, threads in enumerate(("1", "1", "2", "4")):
-            monkeypatch.setenv("CCDL_THREADS", threads)
+        for i, workers in enumerate((1, 1, 2, 4)):
+            trial_workers(workers)
             path = tmp_path / f"{name}{i}.csv"
             assert main([*args, "--out", str(path)]) == 0
             outputs.append(path.read_bytes())

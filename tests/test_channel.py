@@ -1,10 +1,14 @@
 """Channel generation determinism, moments, and random-matrix estimators."""
 
+import ctypes
 import math
+import threading
+import types
 
 import numpy as np
 import pytest
 
+from ccdl import _parallel
 from ccdl.analytic import stieltjes
 from ccdl.channel import (
     RankDeficient,
@@ -140,10 +144,10 @@ class TestWishartInverseTrace:
         with pytest.raises(ValueError):
             wishart_inv_trace_mc(4, 4, 100, RngSeed(0))
 
-    def test_worker_count_invariance(self, monkeypatch):
-        monkeypatch.setenv("CCDL_THREADS", "1")
+    def test_worker_count_invariance(self, trial_workers):
+        trial_workers(1)
         serial = wishart_inv_trace_mc(8, 24, 400, RngSeed(9))
-        monkeypatch.setenv("CCDL_THREADS", "4")
+        trial_workers(4)
         threaded = wishart_inv_trace_mc(8, 24, 400, RngSeed(9))
         assert serial == threaded
 
@@ -211,15 +215,82 @@ class TestSeededMap:
             assert [got[order[0]], got[order[1]]] == solo
             assert len(drawn) == 1001  # trial 3's draw 1 is the only extra draw
 
-    def test_worker_count_invariance(self, monkeypatch):
+    def test_worker_count_invariance(self, trial_workers):
         kernels = [_rejecting({_first_draws(self.SEED, 1, 1)[0]})]
-        monkeypatch.setenv("CCDL_THREADS", "1")
+        trial_workers(1)
         serial = seeded_map(_uniform, kernels, 1000, self.SEED)
-        monkeypatch.setenv("CCDL_THREADS", "2")
+        trial_workers(2)
         assert seeded_map(_uniform, kernels, 1000, self.SEED) == serial
 
     def test_precoding_shares_the_exception(self):
         assert PrecodingRankDeficient is RankDeficient
+
+
+def _recording(calls: list, fail_on=frozenset()):
+    """A kernel that logs (thread, BLAS threads) per call and raises ValueError on draws in ``fail_on``."""
+    get = _parallel._openblas()[0]
+
+    def kernel(x: float) -> float:
+        calls.append((threading.get_ident(), get()))
+        if x in fail_on:
+            raise ValueError("test failure")
+        return x
+
+    return kernel
+
+
+class TestTrialThreads:
+    SEED = RngSeed(78)
+
+    @pytest.fixture
+    def blas(self):
+        if _parallel._openblas() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        get, set_ = _parallel._openblas()
+        original = get()
+        set_(2)
+        yield get
+        set_(original)
+
+    def test_blas_threads_pinned_then_restored(self, blas, trial_workers):
+        trial_workers(2)
+        calls = []
+        assert seeded_map(_uniform, [_recording(calls)], 60, self.SEED) == seeded_map(
+            _uniform, [_rejecting(set())], 60, self.SEED
+        )
+        assert blas() == 2
+        assert len({thread for thread, _ in calls}) == 2
+        assert sorted(n for _, n in calls) == [1] * 59 + [2]  # trial 0 runs before the pin
+        failing = _recording([], fail_on={_first_draws(self.SEED, 45, 1)[0]})
+        with pytest.raises(ValueError, match="test failure"):
+            seeded_map(_uniform, [failing], 60, self.SEED)
+        assert blas() == 2
+
+    def test_singular_draw_names_lowest_failing_trial(self, trial_workers):
+        # trials 20 and 45 lie in the second and fourth of four blocks
+        kernels = [_rejecting(set(_first_draws(self.SEED, 20, 9) + _first_draws(self.SEED, 45, 9)))]
+        errors = []
+        for workers in (1, 4):
+            trial_workers(workers)
+            with pytest.raises(SingularDraw) as info:
+                seeded_map(_uniform, kernels, 60, self.SEED)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == "trial 20: rank deficient on 9 draws in a row"
+
+    def test_missing_pin_symbol_runs_serially(self, trial_workers, monkeypatch, request):
+        request.addfinalizer(_parallel._openblas.cache_clear)
+        _parallel._openblas.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        assert _parallel._openblas() is None
+        trial_workers(2)
+        threads = []
+
+        def kernel(x: float) -> float:
+            threads.append(threading.get_ident())
+            return x
+
+        assert seeded_map(_uniform, [kernel], 60, self.SEED) == seeded_map(_uniform, [_rejecting(set())], 60, self.SEED)
+        assert set(threads) == {threading.get_ident()}
 
 
 class TestResolventTrace:

@@ -279,12 +279,12 @@ class TestOutputStability:
     SIM_ARGS = ("simulate", "--precoder", "rzf", "--G", "3", "--L", "16", "--Q", "8",
                 "--snr-db", "10", "--trials", "120", "--seed", "5")
 
-    def test_simulate_bit_stable_across_runs_and_workers(self, tmp_path, monkeypatch):
+    def test_simulate_bit_stable_across_runs_and_workers(self, tmp_path, trial_workers):
         out = [tmp_path / f"run{i}.csv" for i in range(3)]
-        monkeypatch.setenv("CCDL_THREADS", "1")
+        trial_workers(1)
         assert main([*self.SIM_ARGS, "--out", str(out[0])]) == 0
         assert main([*self.SIM_ARGS, "--out", str(out[1])]) == 0
-        monkeypatch.setenv("CCDL_THREADS", "2")
+        trial_workers(2)
         assert main([*self.SIM_ARGS, "--out", str(out[2])]) == 0
         golden = out[0].read_bytes()
         assert out[1].read_bytes() == golden

@@ -55,10 +55,10 @@ class TestEstimateSumRate:
         b = estimate_sum_rate(mc("MF", 32, 8, 3, trials=200, seed=17))
         assert a == b
 
-    def test_worker_count_invariance(self, monkeypatch):
-        monkeypatch.setenv("CCDL_THREADS", "1")
+    def test_worker_count_invariance(self, trial_workers):
+        trial_workers(1)
         serial = estimate_sum_rate(mc("RZF", 32, 16, 3, trials=150, seed=4))
-        monkeypatch.setenv("CCDL_THREADS", "3")
+        trial_workers(3)
         threaded = estimate_sum_rate(mc("RZF", 32, 16, 3, trials=150, seed=4))
         assert serial == threaded
 

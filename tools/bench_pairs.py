@@ -2,7 +2,7 @@
 """Paired parent-versus-change runs of the perfbench workloads, summarized as one BENCH JSON file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 10 --seconds 20 --seed 6000 \
-        --out BENCH_6.json --tier1
+        --out BENCH_7.json --tier1 --criterion3 5 --thread-gate
 
 DIR is the root of a checkout (for instance a ``git archive`` of each
 commit).  Pair i runs every workload once per tree with the fresh seed
@@ -10,7 +10,9 @@ commit).  Pair i runs every workload once per tree with the fresh seed
 each end-to-end metric of BENCHMARK.json the summary gives each tree's
 median and quartiles and the number of pairs the change won.  It also
 counts ``wishart_gram`` calls per CLI call of each workload, optionally
-times each tree's Tier-1 suite, and records provenance from
+times each tree's Tier-1 suite and, over alternating pairs, acceptance
+criterion 3 alone, optionally records the change tree's
+``tools/thread_gate.py`` table, and records provenance from
 ``perfbench/provenance.collect``.  Runs are sequential: one process at a time.
 """
 
@@ -74,11 +76,16 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
     return summary
 
 
-def tier1(tree: Path) -> dict:
+CRITERION_3 = "tests/test_acceptance.py::test_criterion_3_monte_carlo_vs_closed_form"
+
+
+def tier1(tree: Path, *tests: str) -> dict:
+    """Wall time and summary line of the tree's Tier-1 suite, or of the named tests alone."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                           "--continue-on-collection-errors"], cwd=tree, env=env, capture_output=True, text=True)
+                           "--continue-on-collection-errors", *tests],
+                          cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     return {"wall_s": time.perf_counter() - start, "summary": lines[-1] if lines else ""}
 
@@ -92,6 +99,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True, help="pair i runs with seed + i")
     parser.add_argument("--workloads", nargs="*")
     parser.add_argument("--tier1", action="store_true", help="also time each tree's Tier-1 suite")
+    parser.add_argument("--criterion3", type=int, nargs="?", const=3, default=0, metavar="PAIRS",
+                        help="also time acceptance criterion 3 alone over PAIRS alternating pairs (default 3)")
+    parser.add_argument("--thread-gate", action="store_true", help="also record the change tree's thread-gate table")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -123,6 +133,17 @@ def main(argv=None) -> int:
     }
     if args.tier1:
         result["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
+    if args.criterion3:
+        timed = {"parent": [], "change": []}
+        for i in range(args.criterion3):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                timed[side].append(tier1(trees[side], CRITERION_3))
+        result["criterion3"] = {side: {"median_wall_s": statistics.median(r["wall_s"] for r in side_runs),
+                                       "runs": side_runs} for side, side_runs in timed.items()}
+    if args.thread_gate:
+        done = subprocess.run([sys.executable, "tools/thread_gate.py"], cwd=trees["change"], capture_output=True,
+                              text=True, check=True)
+        result["thread_gate"] = json.loads(done.stdout.strip().splitlines()[-1])
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
