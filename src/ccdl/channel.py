@@ -142,7 +142,9 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
 
         return [first_accepted(kernel) for kernel in kernels]
 
-    if trials < 1 or not kernels:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not kernels:
         return []
     first = []
     rows = [one_trial(0, first)]
@@ -165,8 +167,6 @@ def wishart_inv_trace_mc(Q: int, L: int, trials: int, rng: RngSeed) -> float:
     """
     if not L > Q:
         raise ValueError(f"need L > Q for an invertible Gram matrix, got Q={Q}, L={L}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
     def inv_trace(W: np.ndarray) -> float:
         w = np.linalg.eigvalsh(W)

@@ -59,9 +59,8 @@ def _mean_and_se(values: list[float]) -> tuple[float, float]:
     return mean, math.inf
 
 
-_PASS_BYTES = 64 * 2**20  # RZF powers one trial pass may keep; more alphas redraw the trials in further passes
-_REDUCE_BLOCK = 1024  # trials per vectorized RZF reduction, bounding its temporaries
-_RZF = PrecoderKind.rzf()
+_PASS_BYTES = 64 * 2**20  # kernel-row powers one trial pass may keep; more rows redraw the trials in further passes
+_REDUCE_BLOCK = 1024  # trials per vectorized reduction, bounding its temporaries
 
 
 def _sum_rates(s, sig: np.ndarray, intf: np.ndarray) -> np.ndarray:
@@ -69,22 +68,14 @@ def _sum_rates(s, sig: np.ndarray, intf: np.ndarray) -> np.ndarray:
     return np.log1p(s * sig / (1.0 + s * intf)).sum(axis=-1)
 
 
-def _fixed_kernel(kind: PrecoderKind, s: np.ndarray):
-    """MF/ZF trial kernel: the trial's sum rate at each row's s = rho^2 / G."""
+def _kernel(kinds: list[PrecoderKind]):
+    """Trial kernel of same-name kinds: the trial's powers and trace sum, one row per kind (RZF's alpha stack)."""
 
-    def kernel(W: np.ndarray) -> np.ndarray:
-        sig, intf, _ = precoding.gram_powers(W, kind)
-        return _sum_rates(s[:, None], sig.reshape(-1), intf.reshape(-1))
-
-    return kernel
-
-
-def _rzf_kernel(alphas: np.ndarray):
-    """RZF trial kernel: the trial's powers and trace sum, one row per alpha, kept until the mean trace fixes rho^2."""
+    n, alphas = len(kinds), np.array([kind.alpha for kind in kinds])
 
     def kernel(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sig, intf, traces = precoding.gram_powers(W, _RZF, alphas)
-        return sig.reshape(len(alphas), -1), intf.reshape(len(alphas), -1), traces.sum(axis=-1)
+        sig, intf, traces = precoding.gram_powers(W, kinds[0], alphas)
+        return sig.reshape(n, -1), intf.reshape(n, -1), traces.reshape(n, -1).sum(axis=-1)
 
     return kernel
 
@@ -92,50 +83,53 @@ def _rzf_kernel(alphas: np.ndarray):
 def estimate_sum_rates(configs) -> list[McEstimate]:
     """Average over trials of the stage sum rate sum_k ln(1 + SINR_k), for every config.
 
-    Each trial draws the Gram matrices of its G group channels; a kernel
-    per precoder turns them into unit-power signal and interference powers
-    and precoder traces.  rho^2 is the exact expectation for MF/ZF,
-    resolved before any trial runs, and p_t / (mean trace) over the same
-    trials for RZF, which has no finite-L closed form.  Configs sharing
-    (seed, trials, G, Q, L) share their draws, which depend on neither SNR
-    nor precoder: such an ensemble runs one :func:`ccdl.channel.seeded_map`
-    pass with MF and ZF once and one RZF kernel over the stack of its
-    alphas, and each estimate is bit-equal to its config's run alone.  RZF
-    alphas whose kept powers would pass 64 MiB split over further passes
-    that redraw the same trials.
+    Each trial draws the Gram matrices of its G group channels; one kernel
+    per precoder name turns them into unit-power signal and interference
+    powers and precoder traces, one row per resolved precoder (RZF stacks
+    its alphas).  Each row keeps its per-trial powers until rho^2 is
+    fixed: the exact finite-L power factor where
+    :func:`ccdl.precoding.power_factor` has one (MF, ZF), resolved before
+    any trial runs, else p_t / (mean trace) over the same trials (RZF).
+    Configs sharing (seed, trials, G, Q, L) share their draws, which depend
+    on neither SNR nor precoder: such an ensemble runs one
+    :func:`ccdl.channel.seeded_map` pass, and each estimate is bit-equal to
+    its config's run alone.  Rows whose kept powers would pass 64 MiB split
+    over further passes that redraw the same trials.
     """
     configs = list(configs)
     ensembles = {}
     for i, mc in enumerate(configs):
         sch = mc.scheme
         kind = precoding._resolved(mc.precoder, sch)
-        rho = None if kind.name == "RZF" else precoding.power_factor(kind, sch, mode="exact")
+        try:
+            rho = precoding.power_factor(kind, sch, mode="exact", finite_l=True)
+        except precoding.ExactUnavailable:
+            rho = None
         plan = ensembles.setdefault((mc.seed, mc.trials, sch.G, sch.Q, sch.L), {})
-        plan.setdefault(kind, []).append((i, sch.p_t if rho is None else rho * rho / sch.G))
+        plan.setdefault(kind, []).append((i, rho, sch.p_t))
 
     estimates = [None] * len(configs)
     for (seed, trials, G, Q, L), plan in ensembles.items():
-        fixed = [kind for kind in plan if kind.name != "RZF"]
-        rzf = [kind for kind in plan if kind.name == "RZF"]
+        rows = list(plan)
         per_pass = max(1, _PASS_BYTES // (16 * trials * G * Q))
-        for start in range(0, max(len(rzf), 1), per_pass):
-            chunk, kinds = rzf[start : start + per_pass], fixed if start == 0 else []
-            kernels = [_fixed_kernel(kind, np.array([s for _, s in plan[kind]])) for kind in kinds]
-            kernels += [_rzf_kernel(np.array([kind.alpha for kind in chunk]))] if chunk else []
+        for start in range(0, len(rows), per_pass):
+            groups = {}
+            for kind in rows[start : start + per_pass]:
+                groups.setdefault(kind.name, []).append(kind)
+            kernels = [_kernel(kinds) for kinds in groups.values()]
             columns = seeded_map(lambda gen: wishart_gram(gen, G, Q, L), kernels, trials, seed)
-            for kind, column in zip(kinds, columns):
-                for (i, _), values in zip(plan[kind], np.array(column).T.tolist()):
-                    estimates[i] = McEstimate(*_mean_and_se(values), trials)
-            per_trial = columns[-1] if chunk else []  # (sig, intf, traces) of each trial, one row per alpha
-            for a, kind in enumerate(chunk):
-                mean_trace = math.fsum(traces[a] for _, _, traces in per_trial) / (trials * G)
-                for i, p_t in plan[kind]:
-                    values = []
+            for kinds, per_trial in zip(groups.values(), columns):  # (sig, intf, traces) of each trial
+                for a, kind in enumerate(kinds):
+                    mean_trace = math.fsum(traces[a] for _, _, traces in per_trial) / (trials * G)
+                    scales = {i: (p_t / mean_trace if rho is None else rho * rho) / G for i, rho, p_t in plan[kind]}
+                    rates = {i: [] for i in scales}
                     for b in range(0, trials, _REDUCE_BLOCK):
                         block = per_trial[b : b + _REDUCE_BLOCK]
                         sig, intf = np.stack([s[a] for s, _, _ in block]), np.stack([f[a] for _, f, _ in block])
-                        values += _sum_rates(p_t / mean_trace / G, sig, intf).tolist()
-                    estimates[i] = McEstimate(*_mean_and_se(values), trials)
+                        for i, scale in scales.items():
+                            rates[i] += _sum_rates(scale, sig, intf).tolist()
+                    for i, values in rates.items():
+                        estimates[i] = McEstimate(*_mean_and_se(values), trials)
     return estimates
 
 

@@ -98,7 +98,10 @@ def power_factor(
     form, so "exact" returns the large-system value sqrt(p_sq); requesting
     a finite-L exact value (finite_l=True) raises
     :class:`ExactUnavailable`.  mode="montecarlo" estimates the trace
-    expectation by a seeded sample mean for any precoder.
+    expectation by a seeded sample mean of :func:`gram_powers`' trace, the
+    one the Monte Carlo sum-rate estimator uses, for any precoder;
+    singular ZF draws resample under :func:`ccdl.channel.seeded_map`'s
+    policy.
     """
     Q, L, p_t = scheme.Q, scheme.L, scheme.p_t
     if mode == "exact":
@@ -120,18 +123,9 @@ def power_factor(
     if trials is None or seed is None:
         raise ValueError("montecarlo mode needs trials and seed")
 
-    alpha = kind.resolve_alpha(L, p_t) if kind.name == "RZF" else None
-
-    def trace_one(W: np.ndarray) -> float:
-        if kind.name == "MF":
-            return float(np.trace(W).real)
-        s2 = np.clip(np.linalg.eigvalsh(W), 0.0, None)
-        if kind.name == "ZF":
-            return float(np.sum(1.0 / s2))
-        return float(np.sum(s2 / (s2 + alpha) ** 2))
-
-    mean_trace = math.fsum(seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [trace_one], trials, seed)[0]) / trials
-    return math.sqrt(p_t / mean_trace)
+    kind = _resolved(kind, scheme)
+    (traces,) = seeded_map(lambda gen: wishart_gram(gen, 1, Q, L), [lambda W: gram_powers(W, kind)[2][0]], trials, seed)
+    return math.sqrt(p_t / (math.fsum(traces) / trials))
 
 
 def _resolved(kind: PrecoderKind, scheme: ValidatedScheme) -> PrecoderKind:
@@ -151,7 +145,8 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndar
     scaling both by rho^2/G gives the stage SINR.  Returns arrays of shape
     (..., Q), (..., Q) and (...).  ZF raises :class:`RankDeficient` when
     W is singular or W R strays from the identity.  RZF takes n stacked
-    ``alphas`` in place of ``kind.alpha``, adding a leading axis of size n.
+    ``alphas`` in place of ``kind.alpha``, adding a leading axis of size n;
+    MF and ZF ignore ``alphas``.
     """
     if kind.name == "MF":
         M = W

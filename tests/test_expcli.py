@@ -264,13 +264,13 @@ class TestSharedEnsembles:
         assert run_cli(capsys, *HARDENING)[0] == 0
         assert len(calls) == 100 and set(calls) == {(5, 16, 256)}
 
-    @pytest.mark.parametrize("kernels_per_pass, passes", [(2, 3), (1, 5)])
-    def test_pass_split_keeps_output(self, capsys, monkeypatch, kernels_per_pass, passes):
+    @pytest.mark.parametrize("rows_per_pass, passes", [(2, 4), (1, 7)])
+    def test_pass_split_keeps_output(self, capsys, monkeypatch, rows_per_pass, passes):
         code, lines, _ = run_cli(capsys, *HARDENING)
         assert code == 0
         calls = _counting_draws(monkeypatch)
-        # one RZF kernel stores two (trials, G*Q) float arrays
-        monkeypatch.setattr(montecarlo, "_PASS_BYTES", kernels_per_pass * 2 * 100 * 5 * 16 * 8)
+        # every kernel row (MF, ZF and each of the 5 RZF alphas) stores two (trials, G*Q) float arrays
+        monkeypatch.setattr(montecarlo, "_PASS_BYTES", rows_per_pass * 2 * 100 * 5 * 16 * 8)
         assert run_cli(capsys, *HARDENING) == (0, lines, "")
         assert len(calls) == passes * 100
 

@@ -131,7 +131,10 @@ def test_trials_draw_no_channel_matrix(monkeypatch):
 
 
 class TestEstimateSumRates:
-    def test_mixed_list_equals_each_config_alone(self):
+    @pytest.mark.parametrize("pass_bytes", [montecarlo._PASS_BYTES, 1], ids=["default", "one-row-per-pass"])
+    def test_mixed_list_equals_each_config_alone(self, monkeypatch, pass_bytes):
+        # one row per pass puts MF and ZF rows in later passes than the first
+        monkeypatch.setattr(montecarlo, "_PASS_BYTES", pass_bytes)
         configs = [
             mc(p, L, Q, 3, trials=120, seed=seed, snr_db=snr)
             for seed in (3, 8)
@@ -155,6 +158,21 @@ class TestEstimateSumRates:
         monkeypatch.setattr(montecarlo, "wishart_gram", no_draws)
         with pytest.raises(ValueError, match="needs L > Q"):
             estimate_sum_rates([*configs, square])
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda: power_factor(PrecoderKind.mf(), scheme_for_gain(16, 10.0, 2, 4, precoder="MF"), mode="montecarlo",
+                             trials=0, seed=RngSeed(0)),
+        lambda: deterministic_equivalent_check(0.5, 10.0, 16, 0, RngSeed(0)),
+        lambda: wishart_inv_trace_mc(4, 16, 0, RngSeed(0)),
+    ],
+    ids=["power_factor", "deterministic_equivalent_check", "wishart_inv_trace_mc"],
+)
+def test_zero_trials_rejected(estimate):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        estimate()
 
 
 class TestDeterministicEquivalent:

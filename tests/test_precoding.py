@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ccdl.analytic import rzf_deterministics
-from ccdl.channel import RngSeed, draw_channel
+from ccdl.channel import RngSeed, SingularDraw, draw_channel, wishart_gram
 from ccdl.precoding import (
     ExactUnavailable,
     PrecoderKind,
@@ -87,6 +87,35 @@ class TestPowerFactor:
         scheme = scheme_for_gain(128, 10.0, 5, 64, precoder="RZF")
         rho = power_factor(PrecoderKind.rzf(), scheme, mode="montecarlo", trials=2000, seed=RngSeed(6))
         assert rho * rho == pytest.approx(17.573, rel=0.02)
+
+    def test_zf_montecarlo_singular_draws_resample_then_fail(self):
+        # every Gram draw is singular at Q > L; an infinite trace must not read as rho = 0
+        scheme = scheme_for_gain(8, 10.0, 2, 12, precoder="MF")
+        with pytest.raises(SingularDraw):
+            power_factor(PrecoderKind.zf(), scheme, mode="montecarlo", trials=50, seed=RngSeed(1))
+
+    @pytest.mark.parametrize(
+        "kind, trace",
+        [
+            (PrecoderKind.mf(), lambda lam, alpha: np.sum(lam)),
+            (PrecoderKind.zf(), lambda lam, alpha: np.sum(1.0 / lam)),
+            (PrecoderKind.rzf(), lambda lam, alpha: np.sum(lam / (lam + alpha) ** 2)),
+            (PrecoderKind.rzf(0.5), lambda lam, alpha: np.sum(lam / (lam + alpha) ** 2)),
+        ],
+        ids=["MF", "ZF", "RZF", "RZF-alpha"],
+    )
+    def test_montecarlo_matches_eigenvalue_traces(self, kind, trace):
+        # Tr{V^H V} from the eigenvalues lam of each trial's own Gram draw
+        L, Q, trials, seed = 24, 8, 60, RngSeed(13)
+        scheme = scheme_for_gain(L, 10.0, 2, Q, precoder=kind.name)
+        alpha = kind.resolve_alpha(L, scheme.p_t)
+        traces = [
+            trace(np.linalg.eigvalsh(wishart_gram(seed.substream(t).generator(), 1, Q, L)[0]), alpha)
+            for t in range(trials)
+        ]
+        expected = math.sqrt(scheme.p_t / (math.fsum(traces) / trials))
+        got = power_factor(kind, scheme, mode="montecarlo", trials=trials, seed=seed)
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def _h_space_powers(H: np.ndarray, kind: PrecoderKind):

@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Byte-compare the output of a fixed command list between two ccdl trees.
+
+    python3 tools/same_output.py PARENT_DIR CHANGE_DIR
+
+Each DIR is the root of a checkout (for instance a ``git archive`` of a
+commit).  Every command runs once per tree, with the tree's ``src`` on
+PYTHONPATH and the tree as working directory, one process at a time.  The
+report gives one line per command: whether stdout, stderr and the exit
+status are byte-identical, followed by the first differing lines of any
+stream that differs.  The exit status is 0 when every command matched.
+
+The list covers ``simulate`` and ``sweep --mode simulate`` (MF, ZF, RZF;
+the trials=0 error; Q > L for MF; the ZF error at Q = L; a threaded
+Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits over 5
+trial passes), the four presets,
+``power_factor(mode="montecarlo")`` for every precoder, and the
+``ACCEPTANCE 3`` and ``ACCEPTANCE 4`` lines of the acceptance suite (only
+those lines of its stdout are compared).
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import os
+import subprocess
+import sys
+import time
+
+_CLI = ["-m", "ccdl.expcli"]
+_SIM = [*_CLI, "simulate", "--G", "3", "--L", "32", "--Q", "8", "--snr-db", "10", "--seed", "1"]
+_SWEEP = [*_CLI, "sweep", "--mode", "simulate", "--precoder", "all"]
+_SNR_SWEEP = [*_SWEEP, "--axis", "snr_db", "--start", "0"]
+
+_POWER_FACTORS = """
+from ccdl.channel import RngSeed
+from ccdl.precoding import PrecoderKind, power_factor
+from ccdl.scheme import scheme_for_gain
+for name, kind, L, Q in (("MF", PrecoderKind.mf(), 16, 24), ("ZF", PrecoderKind.zf(), 32, 8),
+                         ("RZF", PrecoderKind.rzf(), 64, 32), ("RZF", PrecoderKind.rzf(0.5), 32, 16)):
+    scheme = scheme_for_gain(L, 10.0, 2, Q, precoder=name)
+    print(name, L, Q, repr(power_factor(kind, scheme, mode="montecarlo", trials=300, seed=RngSeed(51))))
+"""
+
+# (label, python arguments, keep only the stdout lines starting with this prefix or None)
+COMMANDS = [
+    *[(f"simulate {p}", [*_SIM, "--trials", "200", "--precoder", p], None) for p in ("mf", "zf", "rzf")],
+    ("simulate trials=0", [*_SIM, "--trials", "0", "--precoder", "mf"], None),
+    ("simulate mf Q>L", [*_CLI, "simulate", "--precoder", "mf", "--G", "2", "--L", "8", "--Q", "12",
+                         "--snr-db", "5", "--trials", "150", "--seed", "2"], None),
+    ("simulate zf Q=L", [*_CLI, "simulate", "--precoder", "zf", "--G", "2", "--L", "16", "--Q", "16",
+                         "--snr-db", "10", "--trials", "150", "--seed", "2"], None),
+    ("simulate rzf Q=64 threaded", [*_CLI, "simulate", "--precoder", "rzf", "--G", "5", "--L", "128", "--Q", "64",
+                                    "--snr-db", "10", "--trials", "100", "--seed", "3"], None),
+    ("sweep L, 3 ensembles", [*_SWEEP, "--axis", "L", "--start", "16", "--stop", "48", "--step", "16",
+                              "--G", "2", "--Q", "8", "--snr-db", "10", "--trials", "120", "--seed", "5"], None),
+    ("sweep hardening", [*_SNR_SWEEP, "--stop", "20", "--step", "5", "--G", "5", "--L", "256", "--Q", "16",
+                         "--trials", "100", "--seed", "7"], None),
+    # 31 SNRs: 93 rows; one ensemble of 33 kernel rows (31 RZF alphas) at 7 rows per 64 MiB pass
+    ("sweep 93 rows, 5 passes", [*_SNR_SWEEP, "--stop", "30", "--step", "1", "--G", "8", "--L", "32", "--Q", "16",
+                                 "--trials", "4500", "--seed", "11"], None),
+    *[(f"preset {name}", [*_CLI, "sweep", "--preset", name, "--precoder", "all"], None)
+      for name in ("fig1", "fig2-L32", "fig2-L64", "fig3-L64")],
+    ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
+    ("ACCEPTANCE 3 and 4", ["-m", "pytest", "tests/test_acceptance.py", "-q", "-s", "-p", "no:cacheprovider",
+                            "-k", "criterion_3 or criterion_4"], "ACCEPTANCE"),
+]
+
+
+def run(tree: str, args: list[str], prefix: str | None) -> tuple[bytes, bytes, int]:
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True)
+    if prefix is None:
+        return proc.stdout, proc.stderr, proc.returncode
+    kept = b"".join(line for line in proc.stdout.splitlines(keepends=True) if line.startswith(prefix.encode()))
+    return kept, b"", proc.returncode
+
+
+def first_diff(a: bytes, b: bytes, limit: int = 6) -> list[str]:
+    lines = difflib.unified_diff(a.decode(errors="replace").splitlines(), b.decode(errors="replace").splitlines(),
+                                 "parent", "change", n=0, lineterm="")
+    return [f"    {line}" for _, line in zip(range(limit), lines)]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", help="root of the parent tree")
+    ap.add_argument("change", help="root of the changed tree")
+    args = ap.parse_args(argv)
+    all_same = True
+    for label, cmd, prefix in COMMANDS:
+        start = time.perf_counter()
+        old, new = run(args.parent, cmd, prefix), run(args.change, cmd, prefix)
+        same = [a == b for a, b in zip(old, new)]
+        all_same &= all(same)
+        marks = " ".join(f"{name}={'same' if s else 'DIFF'}" for name, s in zip(("stdout", "stderr", "status"), same))
+        print(f"{label:28s} {marks}  ({len(old[0])} B stdout, {time.perf_counter() - start:.1f} s)", flush=True)
+        for stream, s, a, b in zip(("stdout", "stderr"), same, old, new):
+            if not s:
+                print(f"  {stream}:", *first_diff(a, b), sep="\n")
+        if not same[2]:
+            print(f"  status: parent {old[2]}, change {new[2]}")
+    print("all identical" if all_same else "outputs differ")
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
