@@ -292,6 +292,13 @@ def csi_zeta(model: CsiCostModel, G: int, L: int) -> float:
     return model.beta_tot * G * L / (model.t_c * model.w_c)
 
 
+def data_share(c: float, zeta: float) -> float:
+    """Share of a coherence block left for data once CSI acquisition takes c * zeta of it."""
+    if c * zeta > 1:
+        raise CsiOverheadExceedsBlock(f"c * zeta = {c * zeta} > 1 leaves no resources for data")
+    return 1 - c * zeta
+
+
 def effective_rate(
     precoder: str,
     inputs: RateInputs,
@@ -303,15 +310,13 @@ def effective_rate(
     """Average sum rate discounted by the CSI acquisition overhead.
 
     Exactly one of ``model`` or ``zeta`` fixes the overhead coefficient;
-    the effective rate is (1 - c * zeta) times the raw closed-form rate.
+    the effective rate is :func:`data_share` times the raw closed-form rate.
     """
     if (model is None) == (zeta is None):
         raise ValueError("provide exactly one of model or zeta")
     if zeta is None:
         zeta = csi_zeta(model, inputs.G, inputs.L)
-    overhead = inputs.c * zeta
-    if overhead > 1:
-        raise CsiOverheadExceedsBlock(f"c * zeta = {overhead} > 1 leaves no resources for data")
+    share = data_share(inputs.c, zeta)
     rate = raw_rate(precoder, inputs)
     return RateReport(
         precoder=str(precoder).upper(),
@@ -321,7 +326,7 @@ def effective_rate(
         snr_db=10.0 * math.log10(inputs.p_t) if inputs.p_t > 0 else -math.inf,
         avg_sum_rate_nats=rate,
         zeta=zeta,
-        effective_rate_nats=(1.0 - overhead) * rate,
+        effective_rate_nats=share * rate,
         source=source,
     )
 

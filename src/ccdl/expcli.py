@@ -144,10 +144,12 @@ _FLOAT_FIELDS = ("snr_db", "gamma", "beta", "tc", "wc", "zeta", "start", "stop",
 
 
 def _check_domain(spec: ExperimentSpec) -> None:
-    """Reject non-finite float fields and an antenna count below one."""
+    """Reject non-finite float fields, a negative --zeta and an antenna count below one."""
     bad = [n for n in _FLOAT_FIELDS if getattr(spec, n) is not None and not math.isfinite(getattr(spec, n))]
     if bad:
         raise SpecError(f"{', '.join('--' + n.replace('_', '-') for n in bad)} must be finite")
+    if spec.zeta is not None and spec.zeta < 0:
+        raise SpecError(f"--zeta must be >= 0, got {spec.zeta}")
     if spec.L is not None and spec.L < 1:
         raise SpecError(f"--L must be >= 1, got {spec.L}")
 
@@ -156,23 +158,19 @@ def _p_t(spec: ExperimentSpec) -> float:
     return 10.0 ** (spec.snr_db / 10.0)
 
 
-def _zeta_model(spec: ExperimentSpec, G: int, L: int) -> tuple[float, CsiCostModel]:
-    """Overhead coefficient for this G plus a model reproducing it.
+def _csi_model(spec: ExperimentSpec, G: int, L: int) -> CsiCostModel:
+    """CSI cost model of a row at this G and L.
 
-    An explicit --zeta pins the coefficient at the cache-aided group count
-    and scales as zeta * G'/G for other G' (the coefficient is linear in
-    the served group count).  Without CSI flags the overhead is zero.
+    An explicit --zeta overrides --beta/--tc/--wc: its model's coefficient
+    is zeta at the cache-aided group count and zeta * G'/G at other G' (it
+    is linear in the served group count).  Without CSI flags it is zero.
     """
     if spec.zeta is not None:
-        if spec.beta is not None:
-            raise SpecError("give either --zeta or --beta/--tc/--wc, not both")
-        model = CsiCostModel(beta_tot=spec.zeta / (G * L) if spec.zeta else 0.0, t_c=1.0, w_c=1.0)
-        return spec.zeta, model
+        return CsiCostModel(beta_tot=spec.zeta / (G * L) if spec.zeta else 0.0, t_c=1.0, w_c=1.0)
     if spec.beta is not None:
         _require(spec, "tc", "wc")
-        model = CsiCostModel(beta_tot=spec.beta, t_c=spec.tc, w_c=spec.wc)
-        return analytic.csi_zeta(model, G, L), model
-    return 0.0, CsiCostModel(beta_tot=0.0, t_c=1.0, w_c=1.0)
+        return CsiCostModel(beta_tot=spec.beta, t_c=spec.tc, w_c=spec.wc)
+    return CsiCostModel(beta_tot=0.0, t_c=1.0, w_c=1.0)
 
 
 def _resolve_scheme(spec: ExperimentSpec) -> tuple[int, scheme.ValidatedScheme | None]:
@@ -211,12 +209,11 @@ def _precoders(spec: ExperimentSpec) -> list[str]:
     return [name]
 
 
-def _rate(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
-    report = analytic.effective_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, _p_t(spec)), zeta=zeta)
-    return dict(rate_nats=report.avg_sum_rate_nats, effective_rate_nats=report.effective_rate_nats)
+def _rate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
+    return dict(rate_nats=analytic.raw_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, _p_t(spec))))
 
 
-def _simulate(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
+def _simulate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
     if checked is None:
         checked = scheme.scheme_for_gain(spec.L, spec.snr_db, G, spec.Q, K=spec.K, precoder=name)
     else:
@@ -225,25 +222,17 @@ def _simulate(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, mod
     return dict(mc=mc, source=f"monte_carlo({spec.trials};{spec.seed})", trials=spec.trials, seed=spec.seed)
 
 
-def _optimize(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
-    p_t = _p_t(spec)
-    report = optimizer.optimized_gain(name, G, spec.L, p_t, model)
+def _optimize(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
+    report = optimizer.optimized_gain(name, G, spec.L, _p_t(spec), model)
     q_star = report.cached.q_star
-    raw = analytic.effective_rate(name, RateInputs.from_streams(G, q_star, spec.L, p_t), model)
-    return dict(
-        Q=q_star, rate_nats=raw.avg_sum_rate_nats, effective_rate_nats=report.cached.effective_rate_at_q_star,
-        c_star=report.cached.c_star, q_star=q_star, gain=report.gain,
-    )
+    fields = _rate(dataclasses.replace(spec, Q=q_star), name, G, checked, model)
+    return dict(fields, Q=q_star, c_star=report.cached.c_star, q_star=q_star, gain=report.gain)
 
 
-def _gain(spec: ExperimentSpec, name: str, G: int, checked, zeta: float, model: CsiCostModel) -> dict:
-    p_t = _p_t(spec)
+def _gain(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
     q_prime = spec.Q if spec.q_prime is None else spec.q_prime
-    num = analytic.effective_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, p_t), model)
-    return dict(
-        rate_nats=num.avg_sum_rate_nats, effective_rate_nats=num.effective_rate_nats,
-        gain=analytic.effective_gain(name, G, spec.Q, q_prime, spec.L, p_t, model),
-    )
+    gain = analytic.effective_gain(name, G, spec.Q, q_prime, spec.L, _p_t(spec), model)
+    return dict(_rate(spec, name, G, checked, model), gain=gain)
 
 
 _MODES = {"rate": _rate, "simulate": _simulate, "optimize": _optimize, "gain": _gain}
@@ -253,29 +242,34 @@ def _rows(spec: ExperimentSpec, mode: str) -> list[dict]:
     """One row per precoder: the shared identity columns, then the mode's own fields.
 
     A mode maps (spec, precoder, G, the --lambda/--gamma scheme or None,
-    zeta, CSI model) to its fields: ``rate_nats``, or for ``simulate`` the
-    Monte Carlo config ``mc`` that :func:`_finish` evaluates, and ``Q``
-    when it picks the stream count itself.
+    CSI model) to its raw ``rate_nats``, or for ``simulate`` the Monte Carlo
+    config ``mc``, and ``Q`` when it picks the stream count itself;
+    :func:`_finish` discounts each.  A fixed Q with no data share fails first.
     """
     _require(spec, *(("L", "snr_db") if mode == "optimize" else ("L", "Q", "snr_db")))
     G, checked = _resolve_scheme(spec)
-    zeta, model = _zeta_model(spec, G, spec.L)
+    model = _csi_model(spec, G, spec.L)
+    zeta = analytic.csi_zeta(model, G, spec.L)
     rows = []
     for name in _precoders(spec):
+        if mode != "optimize":
+            analytic.data_share(spec.Q / spec.L, zeta)
         row = dict.fromkeys(CSV_COLUMNS, "")
         row.update(precoder=name, L=spec.L, Q=spec.Q, G=G, snr_db=spec.snr_db, zeta=zeta, source="closed_form")
-        row.update(_MODES[mode](spec, name, G, checked, zeta, model))
+        row.update(_MODES[mode](spec, name, G, checked, model))
         rows.append(row)
     return rows
 
 
 def _finish(rows: list[dict]) -> list[dict]:
-    """Fill the Monte Carlo rows by one shared estimate_sum_rates call, add c and rate_bits, reject non-finite rows."""
+    """Fill the Monte Carlo rows by one shared estimate_sum_rates call, add c, rate_bits and
+    the effective rate, reject non-finite rows."""
     pending = [row for row in rows if "mc" in row]
     for row, est in zip(pending, montecarlo.estimate_sum_rates([row.pop("mc") for row in pending])):
-        row.update(rate_nats=est.mean, effective_rate_nats=(1.0 - row["Q"] / row["L"] * row["zeta"]) * est.mean)
+        row["rate_nats"] = est.mean
     for row in rows:
         row.update(c=row["Q"] / row["L"], rate_bits=row["rate_nats"] / math.log(2))
+        row["effective_rate_nats"] = analytic.data_share(row["c"], row["zeta"]) * row["rate_nats"]
         bad = [col for col, value in row.items() if isinstance(value, float) and not math.isfinite(value)]
         if bad:
             at = ", ".join(f"{col}={row[col]}" for col in ("L", "Q", "G", "snr_db"))

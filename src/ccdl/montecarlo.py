@@ -161,7 +161,7 @@ def convergence_report(
             raise ValueError(f"c={c} gives non-integer stream count at L={L}")
         scheme = scheme_for_gain(L=int(L), snr_db=snr_db, G=G, Q=int(round(Q)), precoder=precoder.name)
         est = estimate_sum_rate(McConfig(trials=trials, seed=seed, scheme=scheme, precoder=precoder))
-        ana = analytic.raw_rate(precoder.name, analytic.RateInputs(G=G, L=int(L), c=c, p_t=p_t))
+        ana = analytic.raw_rate(precoder.name, analytic.RateInputs(G=G, L=int(L), c=c, p_t=scheme.p_t))
         rows.append(
             ConvergencePoint(
                 L=int(L),

@@ -13,9 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccdl import montecarlo
+from ccdl.analytic import CsiCostModel, csi_zeta, data_share
 from ccdl.expcli import CSV_COLUMNS, ExperimentSpec, main, preset, run
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+SIMULATE_GOLDEN = Path(__file__).resolve().parent / "golden" / "simulate-sweep.csv"
 
 HEADER = "precoder,L,Q,G,snr_db,zeta,c,rate_nats,rate_bits,effective_rate_nats,source,trials,seed,c_star,q_star,gain"
 
@@ -176,7 +178,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("flags", [
         ("--snr-db", "nan"), ("--snr-db", "inf"), ("--zeta", "nan"),
-        ("--beta", "nan", "--tc", "0.04", "--wc", "300e3"), ("--L", "0"),
+        ("--beta", "nan", "--tc", "0.04", "--wc", "300e3"), ("--L", "0"), ("--zeta", "-1"),
     ])
     def test_out_of_domain_input_rejected(self, capsys, flags):
         base = {"--precoder": "mf", "--G": "5", "--L": "64", "--Q": "16", "--snr-db": "10"}
@@ -185,6 +187,7 @@ class TestErrors:
         assert code == 1
         assert lines == []
         assert err.startswith("error: SpecError:") and err.count("\n") == 1
+        assert flags[0] in err
 
     @pytest.mark.parametrize("command", ["rate", "simulate"])
     def test_conflicting_group_count_rejected(self, capsys, command):
@@ -207,6 +210,41 @@ class TestErrors:
         assert code == 1
         assert lines == []
         assert err.startswith("error: SpecError:")
+
+
+# 0.07 at G = 7, L = 100 is one of the (zeta, G, L) triples where the model's coefficient is an ulp off the typed one.
+ZETA_POINT = ("--zeta", "0.07", "--G", "7", "--L", "100", "--Q", "8", "--snr-db", "10", "--precoder", "all")
+INFEASIBLE = ("--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db", "10", "--zeta", "10",
+              "--trials", "100")
+
+
+class TestCsiOverhead:
+    """Every row takes its zeta from one CSI cost model and its effective rate from one data-share rule."""
+
+    @pytest.mark.parametrize("command", ["rate", "simulate", "optimize", "gain"])
+    def test_row_uses_model_zeta_and_data_share(self, capsys, command):
+        code, lines, _ = run_cli(capsys, command, *ZETA_POINT, "--trials", "100")
+        assert code == 0
+        # --zeta is the model whose coefficient at the row's (G, L) is zeta, linear in G
+        zeta = csi_zeta(CsiCostModel(beta_tot=0.07 / (7 * 100), t_c=1.0, w_c=1.0), 7, 100)
+        assert zeta != 0.07
+        for row in parse(lines):
+            assert float(row["zeta"]) == zeta
+            assert float(row["effective_rate_nats"]) == data_share(int(row["Q"]) / 100, zeta) * float(row["rate_nats"])
+
+    @pytest.mark.parametrize("command", ["rate", "gain", "simulate"])
+    def test_infeasible_fixed_q_fails_before_any_draw(self, capsys, monkeypatch, command):
+        calls = _counting_draws(monkeypatch)
+        assert run_cli(capsys, command, *INFEASIBLE) == (
+            1, [], "error: CsiOverheadExceedsBlock: c * zeta = 2.5 > 1 leaves no resources for data\n")
+        assert calls == []
+
+    def test_zeta_overrides_preset_csi(self, capsys):
+        code, lines, _ = run_cli(capsys, "sweep", "--preset", "fig1", "--zeta", "0.1")
+        assert code == 0 and len(lines) == 1 + 3 * 63
+        assert run_cli(capsys, "sweep", "--mode", "rate", "--precoder", "all", "--L", "64", "--G", "5",
+                       "--snr-db", "10", "--axis", "Q", "--start", "1", "--stop", "63", "--step", "1",
+                       "--zeta", "0.1") == (0, lines, "")
 
 
 class TestHighSnr:
@@ -290,6 +328,21 @@ class TestOutputStability:
         assert out[1].read_bytes() == golden
         assert out[2].read_bytes() == golden
 
+    def test_simulate_sweep_matches_golden(self, capsys):
+        """Guards the random stream: text fields exactly, numbers to 1e-12 relative (bit-exactness
+        holds only within one numpy/BLAS build)."""
+        code, lines, _ = run_cli(capsys, "sweep", "--mode", "simulate", "--precoder", "all", "--axis", "snr_db",
+                                 "--start", "0", "--stop", "20", "--step", "10", "--G", "2", "--L", "16", "--Q", "4",
+                                 "--trials", "100", "--seed", "13")
+        golden = SIMULATE_GOLDEN.read_text().splitlines()
+        assert code == 0 and len(lines) == len(golden) == 10
+        for line, want in zip(lines, golden):
+            for got, ref in zip(line.split(","), want.split(","), strict=True):
+                try:
+                    assert math.isclose(float(got), float(ref), rel_tol=1e-12), (got, ref)
+                except ValueError:
+                    assert got == ref
+
     def test_run_accepts_spec_object(self, tmp_path):
         spec = ExperimentSpec(command="rate", precoder="zf", G=5, L=64, Q=16, snr_db=10.0, zeta=0.0,
                               out=str(tmp_path / "rate.csv"))
@@ -312,15 +365,21 @@ class TestInputDomainProperty:
         gamma=st.one_of(st.none(), st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 0.9, 1.0]), _FLOATS),
         snr_db=st.one_of(st.sampled_from([-400.0, -100.0, -90.0, 0.0, 10.0, 160.0, 1600.0, 3080.0]), _FLOATS),
         zeta=st.one_of(st.none(), st.sampled_from([0.0, 1e-300, 0.3, 1.0, 1e300]), _FLOATS),
+        beta=st.one_of(st.none(), st.sampled_from([0.0, 10.0, 1e300]), _FLOATS),
+        tc=st.one_of(st.none(), st.sampled_from([0.04, 1e-300, 1e300]), _FLOATS),
+        wc=st.one_of(st.none(), st.sampled_from([300e3, 1e-300, 1e300]), _FLOATS),
     )
     @settings(max_examples=100, deadline=None)
     # ZF overflows to inf and RZF's power constants to NaN; RZF at c > 1 warns before c' = 0 fails.
     @example(command="rate", precoder="zf", L=10**6, Q=1, q_prime=None, G=1, lambda_states=None, K=None,
-             gamma=None, snr_db=3080.0, zeta=None)
+             gamma=None, snr_db=3080.0, zeta=None, beta=None, tc=None, wc=None)
     @example(command="rate", precoder="rzf", L=64, Q=16, q_prime=None, G=1, lambda_states=None, K=None,
-             gamma=None, snr_db=1600.0, zeta=None)
+             gamma=None, snr_db=1600.0, zeta=None, beta=None, tc=None, wc=None)
     @example(command="gain", precoder="rzf", L=4, Q=8, q_prime=0, G=2, lambda_states=None, K=None,
-             gamma=None, snr_db=10.0, zeta=None)
+             gamma=None, snr_db=10.0, zeta=None, beta=None, tc=None, wc=None)
+    # --zeta given next to --beta/--tc/--wc overrides them.
+    @example(command="optimize", precoder="all", L=64, Q=8, q_prime=None, G=6, lambda_states=None, K=None,
+             gamma=None, snr_db=10.0, zeta=0.3, beta=10.0, tc=0.04, wc=300e3)
     def test_finite_rows_or_one_error_line(self, **fields):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

@@ -1,6 +1,7 @@
 """Monte Carlo estimator correctness, reproducibility, and convergence."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,14 @@ class TestConvergenceReport:
         # both gaps are estimates, so a rise is charged both points' noise
         assert all(gaps[i + 1] <= gaps[i] + noise[i] + noise[i + 1] for i in range(len(gaps) - 1))
         assert gaps[-1] < 0.01
+
+    def test_closed_form_at_the_estimates_snr(self):
+        # The scheme takes p_t through dB: 3.7 comes back as 3.6999999999999997, an ulp that moves the ZF rate.
+        rows = convergence_report([16, 32], 0.25, 2, 3.7, PrecoderKind.zf(), 100, RngSeed(21))
+        for row in rows:
+            p_t = scheme_for_gain(row.L, 10.0 * math.log10(3.7), 2, row.L // 4).p_t
+            assert p_t != 3.7
+            assert row.analytic == zf_rate(RateInputs(G=2, L=row.L, c=0.25, p_t=p_t))
 
     def test_non_integer_streams_rejected(self):
         with pytest.raises(ValueError):

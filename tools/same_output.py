@@ -4,7 +4,8 @@
     python3 tools/same_output.py PARENT_DIR CHANGE_DIR
 
 Each DIR is the root of a checkout (for instance a ``git archive`` of a
-commit).  Every command runs once per tree, with the tree's ``src`` on
+commit), relative or absolute; a DIR without ``src/ccdl`` is an error.
+Every command runs once per tree, with the tree's absolute ``src`` on
 PYTHONPATH and the tree as working directory, one process at a time.  The
 report gives one line per command: whether stdout, stderr and the exit
 status are byte-identical, followed by the first differing lines of any
@@ -13,8 +14,10 @@ stream that differs.  The exit status is 0 when every command matched.
 The list covers ``simulate`` and ``sweep --mode simulate`` (MF, ZF, RZF;
 the trials=0 error; Q > L for MF; the ZF error at Q = L; a threaded
 Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits over 5
-trial passes), the four presets,
-``power_factor(mode="montecarlo")`` for every precoder, and the
+trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
+``simulate`` at ``--zeta 0.07 --G 7 --L 100 --Q 8``, a ``simulate`` whose
+overhead c * zeta exceeds the block, ``fig1`` with ``--zeta`` over its
+CSI triple, ``power_factor(mode="montecarlo")`` for every precoder, and the
 ``ACCEPTANCE 3`` and ``ACCEPTANCE 4`` lines of the acceptance suite (only
 those lines of its stdout are compared).
 """
@@ -32,6 +35,7 @@ _CLI = ["-m", "ccdl.expcli"]
 _SIM = [*_CLI, "simulate", "--G", "3", "--L", "32", "--Q", "8", "--snr-db", "10", "--seed", "1"]
 _SWEEP = [*_CLI, "sweep", "--mode", "simulate", "--precoder", "all"]
 _SNR_SWEEP = [*_SWEEP, "--axis", "snr_db", "--start", "0"]
+_ZETA = ["--zeta", "0.07", "--G", "7", "--L", "100", "--Q", "8", "--snr-db", "10", "--precoder", "all"]
 
 _POWER_FACTORS = """
 from ccdl.channel import RngSeed
@@ -62,6 +66,11 @@ COMMANDS = [
                                  "--trials", "4500", "--seed", "11"], None),
     *[(f"preset {name}", [*_CLI, "sweep", "--preset", name, "--precoder", "all"], None)
       for name in ("fig1", "fig2-L32", "fig2-L64", "fig3-L64")],
+    *[(f"{command} zeta 0.07", [*_CLI, command, *_ZETA, "--trials", "200", "--seed", "1"], None)
+      for command in ("rate", "gain", "optimize", "simulate")],
+    ("simulate zeta 10 infeasible", [*_CLI, "simulate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16",
+                                     "--snr-db", "10", "--zeta", "10", "--trials", "100"], None),
+    ("preset fig1 zeta 0.1", [*_CLI, "sweep", "--preset", "fig1", "--zeta", "0.1"], None),
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
     ("ACCEPTANCE 3 and 4", ["-m", "pytest", "tests/test_acceptance.py", "-q", "-s", "-p", "no:cacheprovider",
                             "-k", "criterion_3 or criterion_4"], "ACCEPTANCE"),
@@ -88,10 +97,15 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="root of the parent tree")
     ap.add_argument("change", help="root of the changed tree")
     args = ap.parse_args(argv)
+    # A relative PYTHONPATH resolves against each command's cwd, the tree itself: no ccdl, the same failure in both.
+    trees = [os.path.abspath(tree) for tree in (args.parent, args.change)]
+    for tree in trees:
+        if not os.path.isdir(os.path.join(tree, "src", "ccdl")):
+            ap.error(f"{tree} has no src/ccdl")
     all_same = True
     for label, cmd, prefix in COMMANDS:
         start = time.perf_counter()
-        old, new = run(args.parent, cmd, prefix), run(args.change, cmd, prefix)
+        old, new = (run(tree, cmd, prefix) for tree in trees)
         same = [a == b for a, b in zip(old, new)]
         all_same &= all(same)
         marks = " ".join(f"{name}={'same' if s else 'DIFF'}" for name, s in zip(("stdout", "stderr", "status"), same))
