@@ -116,6 +116,8 @@ class CsiCostModel:
     def __post_init__(self):
         if self.beta_tot < 0:
             raise ValueError("beta_tot must be nonnegative")
+        if self.t_c <= 0 or self.w_c <= 0:
+            raise ValueError(f"coherence time t_c={self.t_c} and bandwidth w_c={self.w_c} must be positive")
         if self.t_c * self.w_c <= 0:
             raise ValueError("coherence block t_c * w_c must be positive")
 

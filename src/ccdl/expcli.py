@@ -124,13 +124,29 @@ def preset(name: str) -> ExperimentSpec:
     raise UnknownPreset(f"no preset named {name!r}")
 
 
+_INT_FIELDS = ("L", "Q", "q_prime", "G", "lambda_states", "K", "trials", "seed")
+_FLOAT_FIELDS = ("snr_db", "gamma", "beta", "tc", "wc", "zeta", "start", "stop", "step")
+
+
+def _typed(key: str, value):
+    """A spec value with its flag's type: an int field takes a non-bool int, a float field a
+    non-bool int or float (stored as a float), any other field a string."""
+    kind = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise SpecError(f"spec field {key!r} must be {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:
+        raise SpecError(f"spec field {key!r} is out of float range") from None
+
+
 def _merge(base: ExperimentSpec, override: dict) -> ExperimentSpec:
     fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
     for key, value in override.items():
         if key not in fields:
             raise SpecError(f"unknown spec field {key!r}")
         if value is not None:
-            setattr(base, key, value)
+            setattr(base, key, _typed(key, value))
     return base
 
 
@@ -140,18 +156,20 @@ def _require(spec: ExperimentSpec, *names: str) -> None:
         raise SpecError(f"{spec.command} needs {', '.join('--' + n.replace('_', '-') for n in missing)}")
 
 
-_FLOAT_FIELDS = ("snr_db", "gamma", "beta", "tc", "wc", "zeta", "start", "stop", "step")
+# (field, lower bound, whether the bound itself is excluded)
+_LOWER_BOUNDS = (("zeta", 0, False), ("beta", 0, False), ("tc", 0, True), ("wc", 0, True), ("L", 1, False))
 
 
 def _check_domain(spec: ExperimentSpec) -> None:
-    """Reject non-finite float fields, a negative --zeta and an antenna count below one."""
+    """Reject non-finite float fields, a negative --zeta or --beta, a --tc or --wc
+    that is not positive, and an antenna count below one."""
     bad = [n for n in _FLOAT_FIELDS if getattr(spec, n) is not None and not math.isfinite(getattr(spec, n))]
     if bad:
         raise SpecError(f"{', '.join('--' + n.replace('_', '-') for n in bad)} must be finite")
-    if spec.zeta is not None and spec.zeta < 0:
-        raise SpecError(f"--zeta must be >= 0, got {spec.zeta}")
-    if spec.L is not None and spec.L < 1:
-        raise SpecError(f"--L must be >= 1, got {spec.L}")
+    for name, bound, strict in _LOWER_BOUNDS:
+        value = getattr(spec, name)
+        if value is not None and (value <= bound if strict else value < bound):
+            raise SpecError(f"--{name} must be {'>' if strict else '>='} {bound}, got {value}")
 
 
 def _p_t(spec: ExperimentSpec) -> float:

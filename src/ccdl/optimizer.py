@@ -22,7 +22,8 @@ from ccdl.analytic import (
     RateInputs,
     ZeroDenominator,
     csi_zeta,
-    effective_rate,
+    data_share,
+    raw_rate,
 )
 
 _RESIDUAL_TOL = 1e-10
@@ -105,36 +106,32 @@ def lambert_w0(x: float) -> float:
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")
 
 
-def _first_sign_change(f, lo: float, hi: float, n: int = 256) -> tuple[float, float]:
-    """Scan a log-spaced grid for the first sign change of f."""
-    grid = np.geomspace(lo, hi, n)
-    x_prev = float(grid[0])
-    f_prev = f(x_prev)
+def _root(f, lo: float, hi: float) -> OptimizationResult:
+    """First sign change of f on a 256-point log grid over [lo, hi], bisected to |f| <= 1e-10."""
+    if lo >= hi:
+        raise EmptyFeasibleSet(f"no feasible stream ratio in [{lo:g}, {hi:g}]")
+    grid = np.geomspace(lo, hi, 256)
+    a = float(grid[0])
+    f_a = f(a)
     for x in grid[1:]:
-        x = float(x)
-        fx = f(x)
-        if fx == 0.0:
-            return x, x
-        if (fx > 0) != (f_prev > 0):
-            return x_prev, x
-        x_prev, f_prev = x, fx
-    raise NoRootInBracket(f"no sign change of the optimality condition in [{lo:g}, {hi:g}]")
-
-
-def _bisect(f, lo: float, hi: float, tol: float = _RESIDUAL_TOL, max_iter: int = 300) -> tuple[float, float]:
-    if lo == hi:
-        return lo, abs(f(lo))
-    f_lo = f(lo)
-    mid, f_mid = lo, f_lo
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
+        b = float(x)
+        f_b = f(b)
+        if f_b == 0.0:
+            return OptimizationResult(c_star=b, residual=0.0, method="root_bisection")
+        if (f_b > 0) != (f_a > 0):
+            break
+        a, f_a = b, f_b
+    else:
+        raise NoRootInBracket(f"no sign change of the optimality condition in [{lo:g}, {hi:g}]")
+    for _ in range(300):
+        mid = 0.5 * (a + b)
         f_mid = f(mid)
-        if abs(f_mid) <= tol:
-            return mid, abs(f_mid)
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+        if abs(f_mid) <= _RESIDUAL_TOL:
+            return OptimizationResult(c_star=mid, residual=abs(f_mid), method="root_bisection")
+        if (f_mid > 0) == (f_a > 0):
+            a, f_a = mid, f_mid
         else:
-            hi = mid
+            b = mid
     raise ArithmeticError(f"bisection stalled at residual {abs(f_mid):g}")
 
 
@@ -158,9 +155,7 @@ def mf_opt_c(G: int, p_t: float, zeta: float) -> OptimizationResult:
 
     # The derivative is positive as c -> 0+ and negative at c = 1/(2 zeta),
     # and the objective is concave, so the first sign change is the optimum.
-    lo, hi = _first_sign_change(condition, 1e-9, 1.0 / (2.0 * zeta))
-    c_star, residual = _bisect(condition, lo, hi)
-    return OptimizationResult(c_star=c_star, residual=residual, method="root_bisection")
+    return _root(condition, 1e-9, 1.0 / (2.0 * zeta))
 
 
 def zf_opt_c(G: int, p_t: float, zeta: float) -> OptimizationResult:
@@ -182,9 +177,7 @@ def zf_opt_c(G: int, p_t: float, zeta: float) -> OptimizationResult:
         )
 
     hi = min(1.0, 1.0 / zeta) if zeta > 0 else 1.0
-    lo, hi = _first_sign_change(condition, 1e-9, hi * (1.0 - 1e-12))
-    c_star, residual = _bisect(condition, lo, hi)
-    return OptimizationResult(c_star=c_star, residual=residual, method="root_bisection")
+    return _root(condition, 1e-9, hi * (1.0 - 1e-12))
 
 
 def zf_opt_c_high_snr(G: int, p_t: float) -> float:
@@ -197,13 +190,13 @@ def zf_opt_c_high_snr(G: int, p_t: float) -> float:
     return 1.0 / (1.0 + 1.0 / w)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > 1e-6:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -213,9 +206,6 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-6) -> float:
             x1 = b - invphi * (b - a)
             f1 = f(x1)
     return 0.5 * (a + b)
-
-
-_RZF_GRID_STEP = 1e-3
 
 
 def rzf_opt_c(G: int, L: int, p_t: float, model: CsiCostModel) -> OptimizationResult:
@@ -231,15 +221,17 @@ def rzf_opt_c(G: int, L: int, p_t: float, model: CsiCostModel) -> OptimizationRe
 
     def objective(c: float) -> float:
         try:
-            return effective_rate("RZF", RateInputs(G=G, L=L, c=c, p_t=p_t), model).effective_rate_nats
+            inputs = RateInputs(G=G, L=L, c=c, p_t=p_t)
+            return data_share(c, zeta) * raw_rate("RZF", inputs)
         except (COutOfRange, CsiOverheadExceedsBlock):
             return -math.inf
 
-    grid = np.arange(_RZF_GRID_STEP, hi, _RZF_GRID_STEP)
-    values = [objective(float(c)) for c in grid]
-    best = int(np.argmax(values))
-    lo_ref = float(grid[max(best - 1, 0)])
-    hi_ref = float(grid[min(best + 1, len(grid) - 1)])
+    grid = np.arange(1e-3, hi, 1e-3)
+    lo_ref, hi_ref = 0.0, hi  # (0, hi) is narrower than one grid step
+    if grid.size:
+        best = int(np.argmax([objective(float(c)) for c in grid]))
+        lo_ref = float(grid[max(best - 1, 0)])
+        hi_ref = float(grid[min(best + 1, len(grid) - 1)])
     c_star = _golden_max(objective, lo_ref, hi_ref)
 
     h = 1e-7
@@ -291,7 +283,8 @@ def _optimize_side(precoder: str, G: int, L: int, p_t: float, model: CsiCostMode
         cap = L if q_max is None else min(L, q_max)
 
     def rate_fn(q: int) -> float:
-        return effective_rate(precoder, RateInputs.from_streams(G, q, L, p_t), model).effective_rate_nats
+        inputs = RateInputs.from_streams(G, q, L, p_t)
+        return data_share(inputs.c, zeta) * raw_rate(precoder, inputs)
 
     q_star, rate = integer_q(result.c_star, L, rate_fn, q_max=cap)
     return replace(result, q_star=q_star, effective_rate_at_q_star=rate, q_cap=cap)

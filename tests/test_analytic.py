@@ -185,6 +185,12 @@ class TestCsiOverhead:
         assert csi_zeta(CSI, 1, 64) == pytest.approx(0.05333333333, rel=1e-9)
         assert csi_zeta(CsiCostModel(0.0, 0.04, 300e3), 6, 32) == 0.0
 
+    @pytest.mark.parametrize("t_c, w_c", [(-0.04, -300e3), (0.0, 300e3), (0.04, 0.0), (-0.04, 300e3)])
+    def test_coherence_time_and_bandwidth_each_positive(self, t_c, w_c):
+        # a positive product of two negative factors is no coherence block
+        with pytest.raises(ValueError, match="must be positive"):
+            CsiCostModel(10.0, t_c, w_c)
+
     def test_effective_rate_reference(self):
         report = effective_rate("ZF", RateInputs.from_streams(6, 19, 32, 100.0), CSI)
         assert report.effective_rate_nats == pytest.approx(0.905 * 114 * math.log(12.403508771929824), rel=1e-9)

@@ -156,6 +156,23 @@ class TestConfigFile:
         code, lines, _ = run_cli(capsys, "rate", "--config", str(cfg), "--Q", "32")
         assert parse(lines)[0]["Q"] == "32"
 
+    @pytest.mark.parametrize("fields", [{"Q": 8.5}, {"G": True}, {"L": "64"}, {"snr_db": False}, {"precoder": 5}])
+    def test_config_value_of_wrong_type_rejected(self, capsys, tmp_path, fields):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(fields))
+        code, lines, err = run_cli(capsys, "rate", "--config", str(cfg), "--precoder", "zf", "--G", "5", "--L", "64",
+                                   "--Q", "16", "--snr-db", "10")
+        assert code == 1 and lines == []
+        assert err.startswith("error: SpecError:") and f"{next(iter(fields))!r}" in err
+
+    def test_config_values_take_their_flags_types(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"precoder": "zf", "G": 5, "L": 64, "Q": 16, "snr_db": 10, "zeta": 0}))
+        from_config = run_cli(capsys, "rate", "--config", str(cfg))
+        assert from_config == run_cli(capsys, "rate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16",
+                                      "--snr-db", "10", "--zeta", "0")
+        assert parse(from_config[1])[0]["snr_db"] == "10.0"
+
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"precoderz": "zf"}))
@@ -179,6 +196,8 @@ class TestErrors:
     @pytest.mark.parametrize("flags", [
         ("--snr-db", "nan"), ("--snr-db", "inf"), ("--zeta", "nan"),
         ("--beta", "nan", "--tc", "0.04", "--wc", "300e3"), ("--L", "0"), ("--zeta", "-1"),
+        ("--beta", "-1", "--tc", "0.04", "--wc", "300e3"), ("--tc", "0", "--beta", "10", "--wc", "300e3"),
+        ("--tc", "-0.04", "--wc", "-300000.0", "--beta", "10"), ("--wc", "0", "--beta", "10", "--tc", "0.04"),
     ])
     def test_out_of_domain_input_rejected(self, capsys, flags):
         base = {"--precoder": "mf", "--G": "5", "--L": "64", "--Q": "16", "--snr-db": "10"}
@@ -245,6 +264,30 @@ class TestCsiOverhead:
         assert run_cli(capsys, "sweep", "--mode", "rate", "--precoder", "all", "--L", "64", "--G", "5",
                        "--snr-db", "10", "--axis", "Q", "--start", "1", "--stop", "63", "--step", "1",
                        "--zeta", "0.1") == (0, lines, "")
+
+
+class TestEmptyFeasibleInterval:
+    """Each search fails with one typed line when c * zeta <= 1 leaves no ratio, and RZF
+    refines over all of (0, 1/zeta) when that is narrower than its grid step."""
+
+    @pytest.mark.parametrize("precoder, zeta, error", [
+        ("mf", "1e300", "no feasible stream ratio in [1e-09, 5e-301]"),
+        ("zf", "1e300", "no feasible stream ratio in [1e-09, 1e-300]"),
+        ("mf", "2000", "no evaluable stream count among [1]"),
+        ("zf", "2000", "no evaluable stream count among [1]"),
+        ("rzf", "2000", "no evaluable stream count among [1]"),
+    ])
+    def test_error_line(self, capsys, precoder, zeta, error):
+        assert run_cli(capsys, "optimize", "--precoder", precoder, "--G", "5", "--L", "64", "--snr-db", "10",
+                       "--zeta", zeta) == (1, [], f"error: EmptyFeasibleSet: {error}\n")
+
+    @pytest.mark.parametrize("precoder, c_star", [("zf", 0.0003131568093725257), ("rzf", 0.0003130823037528391)])
+    def test_interval_below_one_grid_step(self, capsys, precoder, c_star):
+        code, lines, _ = run_cli(capsys, "optimize", "--precoder", precoder, "--G", "5", "--L", "2048",
+                                 "--snr-db", "10", "--zeta", "1500")
+        assert code == 0
+        row = parse(lines)[0]
+        assert (row["q_star"], float(row["c_star"])) == ("1", c_star)
 
 
 class TestHighSnr:

@@ -13,7 +13,9 @@ from ccdl.optimizer import (
     DomainError,
     EmptyFeasibleSet,
     GainReport,
+    NoRootInBracket,
     UnboundedObjective,
+    _root,
     integer_q,
     lambert_w0,
     mf_opt_c,
@@ -255,3 +257,67 @@ class TestOptimizedGain:
         assert capped.cached.q_star <= 16
         free = optimized_gain("MF", 6, 32, 100.0, CSI)
         assert free.cached.q_cap is None
+
+
+class TestRoot:
+    def test_empty_interval_names_it(self):
+        with pytest.raises(EmptyFeasibleSet, match=r"in \[1e-09, 1e-300\]"):
+            _root(lambda c: 1.0 - c, 1e-9, 1e-300)
+        with pytest.raises(EmptyFeasibleSet):
+            _root(lambda c: 1.0 - c, 0.5, 0.5)
+
+    def test_no_sign_change(self):
+        with pytest.raises(NoRootInBracket, match=r"in \[0.1, 10\]"):
+            _root(lambda c: 1.0 + c, 0.1, 10.0)
+
+    def test_exact_zero_on_the_scan_is_returned(self):
+        knot = float(np.geomspace(0.1, 10.0, 256)[100])
+        res = _root(lambda c: 0.0 if c >= knot else 1.0, 0.1, 10.0)
+        assert (res.c_star, res.residual, res.method) == (knot, 0.0, "root_bisection")
+
+
+def power(snr_db):
+    return 10 ** (snr_db / 10)
+
+
+class TestSearchBits:
+    """Every bit of each search at (G, SNR, zeta) points no preset visits, from -10 to 40 dB."""
+
+    @pytest.mark.parametrize("opt, G, snr_db, zeta, expected", [
+        (mf_opt_c, 3, -10.0, 0.05, (0.5469129412604228, 7.618691788557896e-11)),
+        (mf_opt_c, 4, 7.5, 0.3, (0.6779175183841856, 3.2670643967946944e-11)),
+        (mf_opt_c, 8, 22.5, 1.2, (0.2717243237997172, 2.7694180282367142e-11)),
+        (mf_opt_c, 2, 40.0, 0.01, (6.43882485431889, 7.378964106408148e-11)),
+        (zf_opt_c, 3, -10.0, 0.05, (0.10773228168161175, 4.101718964477641e-12)),
+        (zf_opt_c, 4, 7.5, 0.3, (0.3557824353995781, 5.3905102603835076e-11)),
+        (zf_opt_c, 8, 22.5, 1.2, (0.32123709729583344, 7.517386713118412e-11)),
+        (zf_opt_c, 2, 40.0, 0.01, (0.8512639096700363, 9.822098689937775e-11)),
+        (zf_opt_c, 3, -10.0, 0.0, (0.11022222669408849, 5.493022703362271e-12)),
+        (zf_opt_c, 7, 40.0, 0.0, (0.8255487447577743, 2.291766776352233e-11)),
+    ])
+    def test_root_c_star_and_residual(self, opt, G, snr_db, zeta, expected):
+        res = opt(G, power(snr_db), zeta)
+        assert (res.c_star, res.residual, res.method) == (*expected, "root_bisection")
+
+    @pytest.mark.parametrize("G, L, snr_db, csi, expected", [
+        (3, 48, -10.0, (2.0, 0.02, 1e5), (0.3066987801091436, 5.304398895431304e-09)),
+        (4, 96, 7.5, (10.0, 0.04, 300e3), (0.4676324828108463, 4.958996176659033e-08)),
+        (2, 40, 40.0, (0.0, 1.0, 1.0), (0.8537989339434131, 6.252776074688882e-07)),
+        (8, 16, 22.5, (30.0, 0.01, 1e5), (0.11432787726639271, 3.0878077872387166e-06)),
+    ])
+    def test_rzf_c_star_and_residual(self, G, L, snr_db, csi, expected):
+        res = rzf_opt_c(G, L, power(snr_db), CsiCostModel(*csi))
+        assert (res.c_star, res.residual, res.method) == (*expected, "grid_search")
+
+    @pytest.mark.parametrize("precoder, G, L, snr_db, csi, cached, cacheless", [
+        ("MF", 3, 48, -10.0, (2.0, 0.02, 1e5), (15, 4.221796941097183), (44, 3.977512219538533)),
+        ("ZF", 4, 96, 7.5, (10.0, 0.04, 300e3), (34, 153.23857453060887), (50, 87.22138815113706)),
+        ("ZF", 7, 128, 40.0, (0.0, 1.0, 1.0), (106, 4225.987270837241), (111, 814.1490629533741)),
+        ("RZF", 2, 40, 40.0, (5.0, 0.04, 300e3), (34, 448.5725354298225), (35, 250.7354959916237)),
+        ("RZF", 8, 16, 22.5, (30.0, 0.01, 1e5), (2, 42.05424247485457), (10, 32.826564717366196)),
+    ])
+    def test_integer_operating_points(self, precoder, G, L, snr_db, csi, cached, cacheless):
+        report = optimized_gain(precoder, G, L, power(snr_db), CsiCostModel(*csi))
+        assert (report.cached.q_star, report.cached.effective_rate_at_q_star) == cached
+        assert (report.cacheless.q_star, report.cacheless.effective_rate_at_q_star) == cacheless
+        assert report.gain == cached[1] / cacheless[1]

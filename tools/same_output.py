@@ -17,7 +17,11 @@ Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits over 5
 trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
 ``simulate`` at ``--zeta 0.07 --G 7 --L 100 --Q 8``, a ``simulate`` whose
 overhead c * zeta exceeds the block, ``fig1`` with ``--zeta`` over its
-CSI triple, ``power_factor(mode="montecarlo")`` for every precoder, and the
+CSI triple, an optimize sweep over -10...40 dB at ``--zeta 0.05`` and at
+``--zeta 0`` (where MF fails with ``UnboundedObjective``), ``optimize`` at
+feasible intervals that are empty (``--L 64`` at ``--zeta 2000`` for RZF,
+``1e300`` for ZF and MF) or narrower than RZF's grid step (``--L 2048
+--zeta 1500``), ``power_factor(mode="montecarlo")`` for every precoder, and the
 ``ACCEPTANCE 3`` and ``ACCEPTANCE 4`` lines of the acceptance suite (only
 those lines of its stdout are compared).
 """
@@ -36,6 +40,9 @@ _SIM = [*_CLI, "simulate", "--G", "3", "--L", "32", "--Q", "8", "--snr-db", "10"
 _SWEEP = [*_CLI, "sweep", "--mode", "simulate", "--precoder", "all"]
 _SNR_SWEEP = [*_SWEEP, "--axis", "snr_db", "--start", "0"]
 _ZETA = ["--zeta", "0.07", "--G", "7", "--L", "100", "--Q", "8", "--snr-db", "10", "--precoder", "all"]
+_OPT_SWEEP = [*_CLI, "sweep", "--mode", "optimize", "--precoder", "all", "--G", "5", "--L", "64",
+              "--axis", "snr_db", "--start", "-10", "--stop", "40", "--step", "5"]
+_OPT = [*_CLI, "optimize", "--G", "5", "--snr-db", "10"]
 
 _POWER_FACTORS = """
 from ccdl.channel import RngSeed
@@ -71,6 +78,9 @@ COMMANDS = [
     ("simulate zeta 10 infeasible", [*_CLI, "simulate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16",
                                      "--snr-db", "10", "--zeta", "10", "--trials", "100"], None),
     ("preset fig1 zeta 0.1", [*_CLI, "sweep", "--preset", "fig1", "--zeta", "0.1"], None),
+    *[(f"optimize sweep zeta {zeta}", [*_OPT_SWEEP, "--zeta", zeta], None) for zeta in ("0.05", "0")],
+    *[(f"optimize {p} L={L} zeta {zeta}", [*_OPT, "--precoder", p, "--L", L, "--zeta", zeta], None)
+      for p, L, zeta in (("rzf", "64", "2000"), ("zf", "64", "1e300"), ("mf", "64", "1e300"), ("all", "2048", "1500"))],
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
     ("ACCEPTANCE 3 and 4", ["-m", "pytest", "tests/test_acceptance.py", "-q", "-s", "-p", "no:cacheprovider",
                             "-k", "criterion_3 or criterion_4"], "ACCEPTANCE"),
