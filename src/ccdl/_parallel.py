@@ -1,14 +1,16 @@
-"""Ordered maps for sweeps and seeded trial loops; the benchmark's tracer hooks ``map_ordered``.
+"""Ordered maps for sweeps and seeded trial loops, and the OpenBLAS pin; the benchmark's tracer hooks ``map_ordered``.
 
 ``map_ordered`` runs on the calling thread: Python and small numpy calls hold the interpreter lock.
 ``map_blocks``, for LAPACK-bound items (``channel.seeded_map`` at Q >= ``channel._THREAD_MIN_Q``), runs one
-contiguous block per CPU, block 0 on the calling thread, and joins them in order: the serial output.  It pins
-numpy's OpenBLAS to one thread (its own threads made the blocks slower than serial) and restores the
-process-wide count after; with one CPU or no settable OpenBLAS it is ``map_ordered``.
+contiguous block per CPU, block 0 on the calling thread, and joins them in order: the serial output.  With one
+CPU or no settable OpenBLAS it is ``map_ordered``.  ``one_blas_thread`` holds numpy's OpenBLAS at one thread:
+its own threads made the blocks slower than serial, and after each pooled call its idle worker spin-waits on a
+CPU that the blocks need.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -37,10 +39,32 @@ def _openblas():
     return None
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """Pin numpy's OpenBLAS to one thread for the block and restore its previous count after, even on error.
+
+    The pin is process-wide.  Without a settable OpenBLAS this does nothing.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def map_blocks(fn, items) -> list:
-    """``map_ordered`` over a block per CPU; once all stop, the first block that raised re-raises, as serially."""
-    items, blas = list(items), _openblas()
-    n = min(len(os.sched_getaffinity(0)), len(items)) if blas else 1  # blas implies a Linux wheel
+    """``map_ordered`` over a block per CPU; once all stop, the first block that raised re-raises, as serially.
+
+    Callers hold :func:`one_blas_thread` around it.
+    """
+    items = list(items)
+    n = min(len(os.sched_getaffinity(0)), len(items)) if _openblas() else 1  # a settable OpenBLAS implies Linux
     if n < 2:
         return map_ordered(fn, items)
     parts = [items[len(items) * b // n : len(items) * (b + 1) // n] for b in range(n)]
@@ -51,9 +75,7 @@ def map_blocks(fn, items) -> list:
         except BaseException as exc:  # re-raised below, on the calling thread
             parts[b] = exc
 
-    get, set_ = blas
-    previous, workers = get(), []
-    set_(1)
+    workers = []
     try:
         for b in range(1, n):
             worker = threading.Thread(target=run, args=(b,))
@@ -63,7 +85,6 @@ def map_blocks(fn, items) -> list:
     finally:
         for worker in workers:
             worker.join()
-        set_(previous)
     for part in parts:
         if isinstance(part, BaseException):
             raise part

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccdl._parallel import map_blocks, map_ordered
+from ccdl._parallel import map_blocks, map_ordered, one_blas_thread
 
 _U64 = 2**64
 
@@ -124,7 +124,8 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
     rather than the measure-zero event a singular draw should be.  If
     trial 0's first draw stacks Q x Q matrices with Q >= _THREAD_MIN_Q,
     trials 1.. run through :func:`ccdl._parallel.map_blocks`, with the
-    serial loop's results and first error.
+    serial loop's results and first error.  Every trial, trial 0
+    included, runs under :func:`ccdl._parallel.one_blas_thread`.
     """
 
     def one_trial(t: int, draws: list) -> list:
@@ -146,11 +147,12 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
         raise ValueError("trials must be >= 1")
     if not kernels:
         return []
-    first = []
-    rows = [one_trial(0, first)]
-    width = np.shape(first[0])[-1] if np.ndim(first[0]) else 0
-    run = map_blocks if width >= _THREAD_MIN_Q else map_ordered
-    rows += run(lambda t: one_trial(t, []), range(1, trials))
+    with one_blas_thread():
+        first = []
+        rows = [one_trial(0, first)]
+        width = np.shape(first[0])[-1] if np.ndim(first[0]) else 0
+        run = map_blocks if width >= _THREAD_MIN_Q else map_ordered
+        rows += run(lambda t: one_trial(t, []), range(1, trials))
     columns = list(zip(*rows))
     resampled = max((sum(1 for _, r in column if r) for column in columns), default=0)
     if resampled > _SINGULAR_BUDGET * trials:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -162,7 +163,7 @@ _LOWER_BOUNDS = (("zeta", 0, False), ("beta", 0, False), ("tc", 0, True), ("wc",
 
 def _check_domain(spec: ExperimentSpec) -> None:
     """Reject non-finite float fields, a negative --zeta or --beta, a --tc or --wc
-    that is not positive, and an antenna count below one."""
+    that is not positive or whose product underflows, and an antenna count below one."""
     bad = [n for n in _FLOAT_FIELDS if getattr(spec, n) is not None and not math.isfinite(getattr(spec, n))]
     if bad:
         raise SpecError(f"{', '.join('--' + n.replace('_', '-') for n in bad)} must be finite")
@@ -170,6 +171,8 @@ def _check_domain(spec: ExperimentSpec) -> None:
         value = getattr(spec, name)
         if value is not None and (value <= bound if strict else value < bound):
             raise SpecError(f"--{name} must be {'>' if strict else '>='} {bound}, got {value}")
+    if spec.tc is not None and spec.wc is not None and spec.tc * spec.wc == 0:
+        raise SpecError(f"--tc * --wc underflows to 0 (--tc {spec.tc}, --wc {spec.wc})")
 
 
 def _p_t(spec: ExperimentSpec) -> float:
@@ -372,7 +375,9 @@ def run(spec: ExperimentSpec) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ccdl",
         description="Cache-aided downlink rate, simulation, optimization and sweep experiments (CSV output).",

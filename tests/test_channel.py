@@ -260,10 +260,49 @@ class TestTrialThreads:
         )
         assert blas() == 2
         assert len({thread for thread, _ in calls}) == 2
-        assert sorted(n for _, n in calls) == [1] * 59 + [2]  # trial 0 runs before the pin
+        assert sorted(n for _, n in calls) == [1] * 60
         failing = _recording([], fail_on={_first_draws(self.SEED, 45, 1)[0]})
         with pytest.raises(ValueError, match="test failure"):
             seeded_map(_uniform, [failing], 60, self.SEED)
+        assert blas() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_draw_runs_pinned(self, blas, trial_workers, workers):
+        trial_workers(workers)
+        seen = []
+
+        def draw(gen) -> float:
+            seen.append(blas())
+            return _uniform(gen)
+
+        calls = []
+        seeded_map(draw, [_recording(calls)], 60, self.SEED)
+        assert seen == [1] * 60
+        assert [n for _, n in calls] == [1] * 60
+        assert blas() == 2
+
+    def test_serial_pass_pinned_then_restored(self, blas, trial_workers):
+        trial_workers(1)
+        calls = []
+        seeded_map(_uniform, [_recording(calls)], 60, self.SEED)
+        assert {thread for thread, _ in calls} == {threading.get_ident()}
+        assert [n for _, n in calls] == [1] * 60
+        assert blas() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restored_after_trial_0_raises(self, blas, trial_workers, workers):
+        trial_workers(workers)
+        failing = _recording([], fail_on={_first_draws(self.SEED, 0, 1)[0]})
+        with pytest.raises(ValueError, match="test failure"):
+            seeded_map(_uniform, [failing], 60, self.SEED)
+        assert blas() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_restored_after_singular_budget(self, blas, trial_workers, workers):
+        trial_workers(workers)
+        firsts = {_first_draws(self.SEED, t, 1)[0] for t in range(3)}
+        with pytest.raises(SingularDraw, match="budget"):
+            seeded_map(_uniform, [_rejecting(firsts)], 2000, self.SEED)
         assert blas() == 2
 
     def test_singular_draw_names_lowest_failing_trial(self, trial_workers):

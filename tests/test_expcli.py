@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccdl import montecarlo
+from ccdl import expcli, montecarlo
 from ccdl.analytic import CsiCostModel, csi_zeta, data_share
 from ccdl.expcli import CSV_COLUMNS, ExperimentSpec, main, preset, run
 
@@ -208,6 +208,14 @@ class TestErrors:
         assert err.startswith("error: SpecError:") and err.count("\n") == 1
         assert flags[0] in err
 
+    def test_underflowing_coherence_block_names_both_flags(self, capsys):
+        code, lines, err = run_cli(capsys, "rate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16",
+                                   "--snr-db", "10", "--beta", "10", "--tc", "1e-300", "--wc", "1e-300")
+        assert code == 1
+        assert lines == []
+        assert err.startswith("error: SpecError:") and err.count("\n") == 1
+        assert "--tc" in err and "--wc" in err
+
     @pytest.mark.parametrize("command", ["rate", "simulate"])
     def test_conflicting_group_count_rejected(self, capsys, command):
         code, lines, err = run_cli(capsys, command, "--precoder", "zf", "--G", "3", "--lambda", "10", "--gamma", "0.5",
@@ -385,6 +393,21 @@ class TestOutputStability:
                     assert math.isclose(float(got), float(ref), rel_tol=1e-12), (got, ref)
                 except ValueError:
                     assert got == ref
+
+    def test_reused_parser_prints_what_fresh_parsers_print(self, capsys):
+        calls = (
+            ("sweep", "--mode", "simulate", "--precoder", "all", "--axis", "snr_db", "--start", "0", "--stop", "10",
+             "--step", "10", "--G", "2", "--L", "16", "--Q", "4", "--trials", "100", "--seed", "3", "--zeta", "0.1"),
+            ("rate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db", "10"),
+            ("simulate", "--precoder", "mf", "--G", "2", "--L", "16", "--Q", "4", "--snr-db", "10", "--trials", "100"),
+        )
+        reused = [run_cli(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            expcli._build_parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        assert reused == fresh
+        assert all(code == 0 for code, _, _ in fresh)
 
     def test_run_accepts_spec_object(self, tmp_path):
         spec = ExperimentSpec(command="rate", precoder="zf", G=5, L=64, Q=16, snr_db=10.0, zeta=0.0,

@@ -8,9 +8,12 @@ DIR is the root of a checkout (for instance a ``git archive`` of each
 commit).  Pair i runs every workload once per tree with the fresh seed
 ``--seed + i``; the tree that goes first alternates between pairs.  For
 each end-to-end metric of BENCHMARK.json the summary gives each tree's
-median and quartiles and the number of pairs the change won.  It also
-counts ``wishart_gram`` calls per CLI call of each workload, optionally
-times each tree's Tier-1 suite and, over alternating pairs, acceptance
+median and quartiles and the number of pairs the change won, and each
+tree's median and quartiles of the CPU seconds a run takes (its process
+and its setup probes, user plus system): over runs of equal length, a
+spin-waiting thread shows as CPU that brings no rows.  It also counts
+``wishart_gram`` calls per CLI call of each workload, optionally times
+each tree's Tier-1 suite and, over alternating pairs, acceptance
 criterion 3 alone, optionally records the change tree's
 ``tools/thread_gate.py`` table, and records provenance from
 ``perfbench/provenance.collect``.  Runs are sequential: one process at a time.
@@ -21,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,12 +52,20 @@ print(json.dumps({"argv": argv, "status": status, "wishart_gram_calls": calls[0]
 """
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run's end-to-end metrics and the CPU seconds of its process and setup probes."""
+    before = _children_cpu_s()
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True, check=True)
+    cpu_s = _children_cpu_s() - before
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
-            **{name: m["value"] for name, m in result["metrics"].items()}}
+            **{name: m["value"] for name, m in result["metrics"].items()}, "child_cpu_s": cpu_s}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -71,6 +83,8 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         summary[name] = {"unit": m["unit"], "better": m["better"], "parent": quartiles(parent),
                          "change": quartiles(change), "change_wins": wins, "pairs": len(parent),
                          "median_ratio": statistics.median(change) / statistics.median(parent)}
+    summary["child_cpu_s"] = {side: quartiles([r["child_cpu_s"] for r in side_runs])
+                              for side, side_runs in runs.items()}
     summary["failed"] = {"parent": sum(r["failed"] for r in runs["parent"]),
                          "change": sum(r["failed"] for r in runs["change"])}
     return summary
