@@ -1,11 +1,12 @@
 """Ordered maps for sweeps and seeded trial loops, and the OpenBLAS pin; the benchmark's tracer hooks ``map_ordered``.
 
 ``map_ordered`` runs on the calling thread: Python and small numpy calls hold the interpreter lock.
-``map_blocks``, for LAPACK-bound items (``channel.seeded_map`` at Q >= ``channel._THREAD_MIN_Q``), runs one
-contiguous block per CPU, block 0 on the calling thread, and joins them in order: the serial output.  With one
-CPU or no settable OpenBLAS it is ``map_ordered``.  ``one_blas_thread`` holds numpy's OpenBLAS at one thread:
-its own threads made the blocks slower than serial, and after each pooled call its idle worker spin-waits on a
-CPU that the blocks need.
+``map_threads``, for LAPACK-bound items (``channel.seeded_map`` at Q >= ``channel._THREAD_MIN_Q``), runs a
+thread per CPU, the calling thread included; each takes the next item as it frees, so none idles while another
+works through a fixed share, and the results come back in item order: the serial output.  With one CPU or no
+settable OpenBLAS it is ``map_ordered``.  ``one_blas_thread`` holds numpy's OpenBLAS at one thread: its own
+threads made the trial threads slower than serial, and after each pooled call its idle worker spin-waits on a
+CPU that the trial threads need.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def _openblas():
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Pin numpy's OpenBLAS to one thread for the block and restore its previous count after, even on error.
+    """Pin numpy's OpenBLAS to one thread inside the ``with`` block and restore its previous count after, even on error.
 
     The pin is process-wide.  Without a settable OpenBLAS this does nothing.
     """
@@ -58,34 +59,42 @@ def one_blas_thread():
         set_(previous)
 
 
-def map_blocks(fn, items) -> list:
-    """``map_ordered`` over a block per CPU; once all stop, the first block that raised re-raises, as serially.
+def map_threads(fn, items) -> list:
+    """``map_ordered`` on a thread per CPU, each taking the next item in order as it frees.
 
-    Callers hold :func:`one_blas_thread` around it.
+    Once a call raises, no later item is started; the lowest-indexed item that
+    raised re-raises after all threads stop, so the results and the error are
+    the serial loop's.  Callers hold :func:`one_blas_thread` around it.
     """
     items = list(items)
     n = min(len(os.sched_getaffinity(0)), len(items)) if _openblas() else 1  # a settable OpenBLAS implies Linux
     if n < 2:
         return map_ordered(fn, items)
-    parts = [items[len(items) * b // n : len(items) * (b + 1) // n] for b in range(n)]
+    results, failed, lock, order = [None] * len(items), {}, threading.Lock(), iter(range(len(items)))
 
-    def run(b: int) -> None:
-        try:
-            parts[b] = map_ordered(fn, parts[b])
-        except BaseException as exc:  # re-raised below, on the calling thread
-            parts[b] = exc
+    def run() -> None:
+        while True:
+            with lock:
+                i = next(order, None)
+                if i is None or failed:
+                    return
+            try:
+                (results[i],) = map_ordered(fn, items[i : i + 1])  # so the benchmark's tracer sees each item
+            except BaseException as exc:  # re-raised below, on the calling thread
+                with lock:
+                    failed[i] = exc
+                return
 
     workers = []
     try:
-        for b in range(1, n):
-            worker = threading.Thread(target=run, args=(b,))
+        for _ in range(1, n):
+            worker = threading.Thread(target=run)
             worker.start()
             workers.append(worker)
-        run(0)
+        run()
     finally:
         for worker in workers:
             worker.join()
-    for part in parts:
-        if isinstance(part, BaseException):
-            raise part
-    return [y for part in parts for y in part]
+    if failed:
+        raise failed[min(failed)]
+    return results

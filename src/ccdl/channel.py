@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccdl._parallel import map_blocks, map_ordered, one_blas_thread
+from ccdl._parallel import map_ordered, map_threads, one_blas_thread
 
 _U64 = 2**64
 
@@ -123,7 +123,7 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
     of the trials, raise :class:`SingularDraw`: that signals a defect
     rather than the measure-zero event a singular draw should be.  If
     trial 0's first draw stacks Q x Q matrices with Q >= _THREAD_MIN_Q,
-    trials 1.. run through :func:`ccdl._parallel.map_blocks`, with the
+    trials 1.. run through :func:`ccdl._parallel.map_threads`, with the
     serial loop's results and first error.  Every trial, trial 0
     included, runs under :func:`ccdl._parallel.one_blas_thread`.
     """
@@ -151,7 +151,7 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
         first = []
         rows = [one_trial(0, first)]
         width = np.shape(first[0])[-1] if np.ndim(first[0]) else 0
-        run = map_blocks if width >= _THREAD_MIN_Q else map_ordered
+        run = map_threads if width >= _THREAD_MIN_Q else map_ordered
         rows += run(lambda t: one_trial(t, []), range(1, trials))
     columns = list(zip(*rows))
     resampled = max((sum(1 for _, r in column if r) for column in columns), default=0)

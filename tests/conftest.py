@@ -10,10 +10,10 @@ from ccdl import channel
 
 @pytest.fixture
 def trial_workers(monkeypatch):
-    """``trial_workers(n)`` runs later seeded maps on n trial-block threads; n = 1 keeps them serial.
+    """``trial_workers(n)`` runs later seeded maps on n trial threads; n = 1 keeps them serial.
 
     It forces ``channel.seeded_map``'s size gate open (or shut) and reports n
-    usable CPUs to ``_parallel.map_blocks``, whatever the draw size and host.
+    usable CPUs to ``_parallel.map_threads``, whatever the draw size and host.
     """
 
     def set_workers(n: int) -> None:

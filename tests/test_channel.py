@@ -3,6 +3,7 @@
 import ctypes
 import math
 import threading
+import time
 import types
 
 import numpy as np
@@ -305,8 +306,25 @@ class TestTrialThreads:
             seeded_map(_uniform, [_rejecting(firsts)], 2000, self.SEED)
         assert blas() == 2
 
+    def test_lowest_failing_trial_wins_and_stops_the_handout(self, trial_workers):
+        trial_workers(2)
+        trial_of = {_first_draws(self.SEED, t, 1)[0]: t for t in range(60)}
+        ran = []
+
+        def kernel(x: float) -> float:
+            t = trial_of[x]
+            ran.append(t)
+            if t == 3:
+                time.sleep(0.2)  # trial 4 fails on the other thread first
+            if t in (3, 4):
+                raise ValueError(f"trial {t}")
+            return x
+
+        with pytest.raises(ValueError, match="trial 3"):
+            seeded_map(_uniform, [kernel], 60, self.SEED)
+        assert max(ran) == 4
+
     def test_singular_draw_names_lowest_failing_trial(self, trial_workers):
-        # trials 20 and 45 lie in the second and fourth of four blocks
         kernels = [_rejecting(set(_first_draws(self.SEED, 20, 9) + _first_draws(self.SEED, 45, 9)))]
         errors = []
         for workers in (1, 4):

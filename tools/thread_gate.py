@@ -5,10 +5,10 @@
 
 Run from the root of a checkout.  For each case, one ``estimate_sum_rates``
 call on a G = 5 ensemble at 10 dB runs with the size gate shut (serial)
-and forced open (trial blocks on threads, one per CPU), alternating which
+and forced open (trials on threads, one per CPU), alternating which
 goes first.  Both sides run with numpy's OpenBLAS pinned to one thread,
 because ``channel.seeded_map`` pins every pass, so the table compares
-trial-block threads against the calling thread alone.  It reports each
+trial threads against the calling thread alone.  It reports each
 side's median, min and max milliseconds per trial and the serial/threaded
 ratio of the medians; above 1, threads win.  The last line of standard
 output is the table as one JSON object.
