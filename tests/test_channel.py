@@ -227,6 +227,17 @@ class TestSeededMap:
         assert PrecodingRankDeficient is RankDeficient
 
 
+def _recording_draw(seen: list):
+    """A uniform draw that logs the BLAS thread count of each call."""
+    get = _parallel._openblas()[0]
+
+    def draw(gen) -> float:
+        seen.append(get())
+        return _uniform(gen)
+
+    return draw
+
+
 def _recording(calls: list, fail_on=frozenset()):
     """A kernel that logs (thread, BLAS threads) per call and raises ValueError on draws in ``fail_on``."""
     get = _parallel._openblas()[0]
@@ -267,27 +278,19 @@ class TestTrialThreads:
             seeded_map(_uniform, [failing], 60, self.SEED)
         assert blas() == 2
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_draw_runs_pinned(self, blas, trial_workers, workers):
-        trial_workers(workers)
+    def test_every_draw_runs_pinned(self, blas, trial_workers):
+        trial_workers(2)
         seen = []
-
-        def draw(gen) -> float:
-            seen.append(blas())
-            return _uniform(gen)
-
-        calls = []
-        seeded_map(draw, [_recording(calls)], 60, self.SEED)
-        assert seen == [1] * 60
-        assert [n for _, n in calls] == [1] * 60
+        seeded_map(_recording_draw(seen), [_rejecting(set())], 60, self.SEED)
+        assert seen == [1] * 60  # trial 0's draw included
         assert blas() == 2
 
     def test_serial_pass_pinned_then_restored(self, blas, trial_workers):
         trial_workers(1)
-        calls = []
-        seeded_map(_uniform, [_recording(calls)], 60, self.SEED)
+        seen, calls = [], []
+        seeded_map(_recording_draw(seen), [_recording(calls)], 60, self.SEED)
         assert {thread for thread, _ in calls} == {threading.get_ident()}
-        assert [n for _, n in calls] == [1] * 60
+        assert seen == [n for _, n in calls] == [1] * 60
         assert blas() == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -325,6 +328,7 @@ class TestTrialThreads:
         assert max(ran) == 4
 
     def test_singular_draw_names_lowest_failing_trial(self, trial_workers):
+        # trials 20 and 45 each reject nine draws in a row; four threads must still name trial 20
         kernels = [_rejecting(set(_first_draws(self.SEED, 20, 9) + _first_draws(self.SEED, 45, 9)))]
         errors = []
         for workers in (1, 4):

@@ -10,10 +10,11 @@ commit).  Pair i runs every workload once per tree with the fresh seed
 each end-to-end metric of BENCHMARK.json the summary gives each tree's
 median and quartiles and the number of pairs the change won, and each
 tree's median and quartiles of the CPU seconds a run takes (its process
-and its setup probes, user plus system): over runs of equal length, a
-spin-waiting thread shows as CPU that brings no rows.  It also counts
-``wishart_gram`` calls per CLI call of each workload, optionally times
-each tree's Tier-1 suite and, over alternating pairs, acceptance
+and its setup probes, user plus system) and of those seconds per row
+(over ``rows_per_s * --seconds``): a spin-waiting thread shows as CPU that
+brings no rows.  It also counts ``wishart_gram`` calls per CLI call of
+each workload, optionally times each tree's Tier-1 suite and, over
+alternating pairs, acceptance
 criterion 3 alone, optionally records the change tree's
 ``tools/thread_gate.py`` table, and records provenance from
 ``perfbench/provenance.collect``.  Runs are sequential: one process at a time.
@@ -58,14 +59,15 @@ def _children_cpu_s() -> float:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run's end-to-end metrics and the CPU seconds of its process and setup probes."""
+    """One benchmark run's end-to-end metrics and the CPU seconds of its process and setup probes, also per row."""
     before = _children_cpu_s()
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                            "--seconds", str(seconds)], cwd=tree, capture_output=True, text=True, check=True)
     cpu_s = _children_cpu_s() - before
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"],
-            **{name: m["value"] for name, m in result["metrics"].items()}, "child_cpu_s": cpu_s}
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"], **metrics,
+            "child_cpu_s": cpu_s, "child_cpu_s_per_row": cpu_s / (metrics["rows_per_s"] * seconds)}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -83,8 +85,8 @@ def summarize(runs: dict, metrics: list[dict]) -> dict:
         summary[name] = {"unit": m["unit"], "better": m["better"], "parent": quartiles(parent),
                          "change": quartiles(change), "change_wins": wins, "pairs": len(parent),
                          "median_ratio": statistics.median(change) / statistics.median(parent)}
-    summary["child_cpu_s"] = {side: quartiles([r["child_cpu_s"] for r in side_runs])
-                              for side, side_runs in runs.items()}
+    for name in ("child_cpu_s", "child_cpu_s_per_row"):
+        summary[name] = {side: quartiles([r[name] for r in side_runs]) for side, side_runs in runs.items()}
     summary["failed"] = {"parent": sum(r["failed"] for r in runs["parent"]),
                          "change": sum(r["failed"] for r in runs["change"])}
     return summary
