@@ -27,6 +27,7 @@ from ccdl.analytic import (
 )
 
 _RESIDUAL_TOL = 1e-10
+_C_MIN = 1e-9  # smallest stream ratio searched: MF and ZF scan up from it, RZF needs room above it
 _W_MAX_ITER = 50
 _BRANCH_POINT = -math.exp(-1.0)
 
@@ -106,10 +107,14 @@ def lambert_w0(x: float) -> float:
     raise ArithmeticError(f"lambert_w0 failed to converge for x={x}")
 
 
-def _root(f, lo: float, hi: float) -> OptimizationResult:
-    """First sign change of f on a 256-point log grid over [lo, hi], bisected to |f| <= 1e-10."""
+def _check_feasible(lo: float, hi: float) -> None:
     if lo >= hi:
         raise EmptyFeasibleSet(f"no feasible stream ratio in [{lo:g}, {hi:g}]")
+
+
+def _root(f, lo: float, hi: float) -> OptimizationResult:
+    """First sign change of f on a 256-point log grid over [lo, hi], bisected to |f| <= 1e-10."""
+    _check_feasible(lo, hi)
     grid = np.geomspace(lo, hi, 256)
     a = float(grid[0])
     f_a = f(a)
@@ -155,7 +160,7 @@ def mf_opt_c(G: int, p_t: float, zeta: float) -> OptimizationResult:
 
     # The derivative is positive as c -> 0+ and negative at c = 1/(2 zeta),
     # and the objective is concave, so the first sign change is the optimum.
-    return _root(condition, 1e-9, 1.0 / (2.0 * zeta))
+    return _root(condition, _C_MIN, 1.0 / (2.0 * zeta))
 
 
 def zf_opt_c(G: int, p_t: float, zeta: float) -> OptimizationResult:
@@ -177,7 +182,7 @@ def zf_opt_c(G: int, p_t: float, zeta: float) -> OptimizationResult:
         )
 
     hi = min(1.0, 1.0 / zeta) if zeta > 0 else 1.0
-    return _root(condition, 1e-9, hi * (1.0 - 1e-12))
+    return _root(condition, _C_MIN, hi * (1.0 - 1e-12))
 
 
 def zf_opt_c_high_snr(G: int, p_t: float) -> float:
@@ -212,12 +217,15 @@ def rzf_opt_c(G: int, L: int, p_t: float, model: CsiCostModel) -> OptimizationRe
     """Optimal RZF stream ratio by exhaustive grid plus golden-section.
 
     Searches c in (0, 1) intersected with the feasible overhead region
-    c * zeta <= 1, on a 1e-3 grid refined to 1e-6.  The residual reported
-    is the centered numeric derivative of the per-antenna effective rate
-    at the optimum (not driven to zero by this method).
+    c * zeta <= 1, on a 1e-3 grid refined to 1e-6; like MF and ZF, raises
+    :class:`EmptyFeasibleSet` when that region ends at or below 1e-9.  The
+    residual reported is the centered numeric derivative of the
+    per-antenna effective rate at the optimum (not driven to zero by this
+    method).
     """
     zeta = csi_zeta(model, G, L)
     hi = min(1.0, 1.0 / zeta) if zeta > 0 else 1.0
+    _check_feasible(_C_MIN, hi)
 
     def objective(c: float) -> float:
         try:

@@ -3,7 +3,9 @@
 Builds MF / ZF / RZF precoding matrices under the average (expectation
 based) power normalization, computes the per-user SINRs of one
 transmission stage, and checks numerically that cached side information
-removes the inter-group component of the received signal exactly.
+removes the inter-group component of the received signal exactly.  ZF is
+RZF's alpha = 0 member: one helper inverts W + alpha I for both, in Gram
+space and in H space, and applies ZF's rank rule to alpha = 0 only.
 """
 
 from __future__ import annotations
@@ -62,25 +64,14 @@ class PrecoderKind:
 def build_precoder(H: np.ndarray, kind: PrecoderKind) -> np.ndarray:
     """L x Q precoding matrix for a Q x L channel.
 
-    MF is the Hermitian transpose, ZF the right pseudo-inverse
-    H^H (H H^H)^-1, RZF the regularized variant with alpha I added to the
-    Gram matrix.  ZF raises :class:`RankDeficient` on singular draws.
+    MF is the Hermitian transpose, RZF H^H (H H^H + alpha I)^-1 and ZF its
+    alpha = 0 member, the right pseudo-inverse.  ZF raises
+    :class:`RankDeficient` on the draws :func:`gram_powers` rejects (Q > L too).
     """
     if kind.name == "MF":
         return H.conj().T
-    gram = H @ H.conj().T
-    if kind.name == "ZF":
-        try:
-            sol = np.linalg.solve(gram, H)
-        except np.linalg.LinAlgError as exc:
-            raise RankDeficient("singular Gram matrix in ZF precoder") from exc
-        if not np.all(np.isfinite(sol)):
-            raise RankDeficient("non-finite ZF solution")
-        return sol.conj().T
-    if kind.alpha is None:
-        raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
-    Q = H.shape[0]
-    return np.linalg.solve(gram + kind.alpha * np.eye(Q), H).conj().T
+    X, _ = _regularized_inverse(H @ H.conj().T, kind, H=H)
+    return X.conj().T
 
 
 def power_factor(
@@ -139,44 +130,52 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndar
 
     ``W`` stacks Q x Q Gram matrices H H^H (shape (..., Q, Q)); every
     quantity depends on the channel H only through W, since with
-    V = H^H R the effective channel is H V = W R: R = I for MF, W^-1 for
-    ZF and (W + alpha I)^-1 for RZF.  User k's signal power is
-    |[W R]_kk|^2 and its interference the sum over j != k of |[W R]_kj|^2;
-    scaling both by rho^2/G gives the stage SINR.  Returns arrays of shape
-    (..., Q), (..., Q) and (...).  ZF raises :class:`RankDeficient` when
-    W is singular or W R strays from the identity.  RZF takes n stacked
-    ``alphas`` in place of ``kind.alpha``, adding a leading axis of size n;
-    MF and ZF ignore ``alphas``.
+    V = H^H R the effective channel is H V = W R: R = I for MF and
+    (W + alpha I)^-1 for RZF, with ZF its alpha = 0 member.  User k's signal
+    power is |[W R]_kk|^2 and its interference the sum over j != k of
+    |[W R]_kj|^2; scaling both by rho^2/G gives the stage SINR.  Returns
+    arrays of shape (..., Q), (..., Q) and (...).  ZF's rank rule raises
+    :class:`RankDeficient` when W is singular or W R strays from the
+    identity; RZF rows skip it.  RZF takes n stacked ``alphas`` in place of
+    ``kind.alpha``, adding a leading axis of size n; MF and ZF ignore them.
     """
     if kind.name == "MF":
         M = W
         trace = np.trace(W, axis1=-2, axis2=-1).real
     else:
-        eye = np.eye(W.shape[-1])
-        if kind.name == "ZF":
-            try:
-                R = np.linalg.inv(W)
-            except np.linalg.LinAlgError as exc:
-                raise RankDeficient("singular Gram matrix in ZF precoder") from exc
-            if not np.all(np.isfinite(R)):
-                raise RankDeficient("non-finite ZF inverse")
-            M = W @ R
-            err = np.max(np.abs(M - eye))
-            if err > 1e-6:
-                raise RankDeficient(f"ZF identity residual {err:.2e} on a near-singular draw")
-            trace = np.trace(R, axis1=-2, axis2=-1).real
-        else:
-            alpha = kind.alpha if alphas is None else np.reshape(alphas, (-1,) + (1,) * W.ndim)
-            if alpha is None:
-                raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
-            # not I - alpha R or Tr R - alpha ||R||_F^2: both cancel when
-            # alpha = L / p_t is large (low SNR)
-            R = np.linalg.inv(W + alpha * eye)
-            M = W @ R
-            trace = np.einsum("...ij,...ji->...", R, M).real
+        R, M = _regularized_inverse(W, kind, alphas)
+        # not I - alpha R or Tr R - alpha ||R||_F^2: both cancel when
+        # alpha = L / p_t is large (low SNR)
+        trace = np.einsum("...ij,...ji->...", R, M).real
     P = np.abs(M) ** 2
     sig = np.diagonal(P, axis1=-2, axis2=-1).copy()
     return sig, P.sum(axis=-1) - sig, trace
+
+
+def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None, H: np.ndarray | None = None):
+    """X solving (W + alpha I) X = I by ``inv`` (Gram space), or X = H by ``solve``.
+
+    ZF is alpha = 0; RZF takes ``kind.alpha`` or the stacked ``alphas``.
+    Returns X and the effective channel M = W X (H X^H when H is given).
+    A singular W + alpha I raises :class:`RankDeficient`, and so does the
+    ZF rank rule: an X that is not finite or an M more than 1e-6 from I.
+    """
+    alpha = kind.alpha if alphas is None else np.reshape(alphas, (-1,) + (1,) * W.ndim)
+    if kind.name == "ZF":
+        alpha = 0.0
+    elif alpha is None:
+        raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
+    eye = np.eye(W.shape[-1])
+    try:
+        X = np.linalg.inv(W + alpha * eye) if H is None else np.linalg.solve(W + alpha * eye, H)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficient(f"singular Gram matrix in {kind.name} precoder") from exc
+    M = W @ X if H is None else H @ X.conj().T
+    if kind.name == "ZF":
+        err = np.max(np.abs(M - eye))
+        if not (np.all(np.isfinite(X)) and err <= 1e-6):
+            raise RankDeficient(f"ZF inverse not finite or identity residual {err:.2e} > 1e-6 on a near-singular draw")
+    return X, M
 
 
 def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: float | None = None) -> np.ndarray:

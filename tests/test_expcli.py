@@ -275,12 +275,15 @@ class TestCsiOverhead:
 
 
 class TestEmptyFeasibleInterval:
-    """Each search fails with one typed line when c * zeta <= 1 leaves no ratio, and RZF
-    refines over all of (0, 1/zeta) when that is narrower than its grid step."""
+    """Each search fails with one typed line when c * zeta <= 1 leaves no ratio above 1e-9, and
+    RZF refines over all of (0, 1/zeta) when that is narrower than its grid step."""
 
     @pytest.mark.parametrize("precoder, zeta, error", [
         ("mf", "1e300", "no feasible stream ratio in [1e-09, 5e-301]"),
         ("zf", "1e300", "no feasible stream ratio in [1e-09, 1e-300]"),
+        ("rzf", "1e300", "no feasible stream ratio in [1e-09, 1e-300]"),
+        ("rzf", "1e16", "no feasible stream ratio in [1e-09, 1e-16]"),
+        ("rzf", "1e9", "no feasible stream ratio in [1e-09, 1e-09]"),
         ("mf", "2000", "no evaluable stream count among [1]"),
         ("zf", "2000", "no evaluable stream count among [1]"),
         ("rzf", "2000", "no evaluable stream count among [1]"),

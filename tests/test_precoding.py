@@ -43,6 +43,14 @@ class TestBuildPrecoder:
         with pytest.raises(ValueError):
             build_precoder(H, PrecoderKind.rzf())
 
+    def test_zf_rank_rule_rejects_more_streams_than_antennas(self):
+        # H H^H has rank L < Q, in H space as in Gram space
+        H = draw_channel(6, 4, RngSeed(3))
+        with pytest.raises(RankDeficient):
+            build_precoder(H, PrecoderKind.zf())
+        with pytest.raises(RankDeficient):
+            gram_powers(H @ H.conj().T, PrecoderKind.zf())
+
     def test_kind_validation(self):
         with pytest.raises(ValueError):
             PrecoderKind("DPC")
@@ -156,6 +164,19 @@ class TestGramPowers:
         with pytest.raises(ValueError):
             gram_powers(np.eye(4, dtype=complex), PrecoderKind.rzf())
 
+    @pytest.mark.parametrize("G, Q, L", [(5, 16, 256), (5, 64, 128)])
+    def test_zf_is_the_alpha_zero_row(self, G, Q, L):
+        # an alpha = 0 row stacked with RZF rows is ZF bit for bit, and leaves the RZF rows bit-equal
+        W = wishart_gram(RngSeed(14).generator(), G, Q, L)
+        alphas = [0.0, L / 10.0, L / 1e3]
+        stacked = gram_powers(W, PrecoderKind.rzf(), alphas)
+        solos = [gram_powers(W, PrecoderKind.zf())] + [gram_powers(W, PrecoderKind.rzf(a)) for a in alphas[1:]]
+        for row, solo in enumerate(solos):
+            assert all(np.array_equal(whole[row], part) for whole, part in zip(stacked, solo))
+        # ZF takes RZF's trace Tr(R W R), which equals Tr W^-1 = sum 1/lambda
+        exact = np.sum(1.0 / np.linalg.eigvalsh(W), axis=-1)
+        assert np.max(np.abs(solos[0][2] - exact) / exact) <= 1e-13
+
 
 class TestStageSinrs:
     def test_zf_deterministic_sinr(self):
@@ -184,12 +205,15 @@ class TestStageSinrs:
     @pytest.mark.parametrize("offset", [0.0, 1e-8])
     def test_zf_rank_guard(self, offset):
         # identical rows fail the solve; rows 1e-8 apart solve to a precoder
-        # whose H V misses the identity, which the residual guard catches
+        # whose H V misses the identity, which the residual guard catches in
+        # Gram space (stage_sinrs) and in H space (build_precoder) alike
         scheme = scheme_for_gain(16, 10.0, 1, 4, precoder="ZF")
         H = draw_channel(4, 16, RngSeed(10))
         H[1] = H[0] + offset * draw_channel(1, 16, RngSeed(11))[0]
         with pytest.raises(RankDeficient):
             stage_sinrs([H], PrecoderKind.zf(), scheme)
+        with pytest.raises(RankDeficient):
+            build_precoder(H, PrecoderKind.zf())
 
 
 class TestRzfSinrDecomposition:

@@ -11,19 +11,21 @@ report gives one line per command: whether stdout, stderr and the exit
 status are byte-identical, followed by the first differing lines of any
 stream that differs.  The exit status is 0 when every command matched.
 
-The list covers ``simulate`` and ``sweep --mode simulate`` (MF, ZF, RZF;
-the trials=0 error; Q > L for MF; the ZF error at Q = L; a threaded
-Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits over 5
-trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
+The list of 29 commands covers ``simulate`` and ``sweep --mode simulate``
+(MF, ZF, RZF; the trials=0 error; Q > L for MF; the ZF error at Q = L; a
+threaded Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits
+over 5 trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
 ``simulate`` at ``--zeta 0.07 --G 7 --L 100 --Q 8``, a ``simulate`` whose
-overhead c * zeta exceeds the block, ``fig1`` with ``--zeta`` over its
-CSI triple, an optimize sweep over -10...40 dB at ``--zeta 0.05`` and at
+overhead c * zeta exceeds the block, ``fig1`` with ``--zeta`` over its CSI
+triple, an optimize sweep over -10...40 dB at ``--zeta 0.05`` and at
 ``--zeta 0`` (where MF fails with ``UnboundedObjective``), ``optimize`` at
 feasible intervals that are empty (``--L 64`` at ``--zeta 2000`` for RZF,
-``1e300`` for ZF and MF) or narrower than RZF's grid step (``--L 2048
---zeta 1500``), ``power_factor(mode="montecarlo")`` for every precoder, and the
-``ACCEPTANCE 3`` and ``ACCEPTANCE 4`` lines of the acceptance suite (only
-those lines of its stdout are compared).
+``1e300`` for ZF and MF) or narrower than RZF's grid step (``--L 2048 --zeta
+1500``), ``power_factor(mode="montecarlo")`` for every precoder, the sha256
+digests of ``build_precoder`` (ZF, RZF) and of ``gram_powers``' signal and
+interference powers (MF, ZF, RZF, stacked alphas) on fixed seeded draws, and
+the ``ACCEPTANCE 3`` and ``ACCEPTANCE 4`` lines of the acceptance suite
+(only those lines of its stdout are compared).
 """
 
 from __future__ import annotations
@@ -54,6 +56,28 @@ for name, kind, L, Q in (("MF", PrecoderKind.mf(), 16, 24), ("ZF", PrecoderKind.
     print(name, L, Q, repr(power_factor(kind, scheme, mode="montecarlo", trials=300, seed=RngSeed(51))))
 """
 
+# sha256 of every ZF and RZF precoder and of the MF, ZF, RZF and stacked-alpha Gram-space
+# powers on fixed seeded draws, all accepted by ZF's rank rule
+_PRECODER_BITS = """
+import hashlib
+import numpy as np
+from ccdl.channel import RngSeed, draw_channel, wishart_gram
+from ccdl.precoding import PrecoderKind, build_precoder, gram_powers
+def digest(*arrays):
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+for Q, L in ((4, 16), (8, 32), (16, 64), (16, 256), (32, 48)):
+    channels = [draw_channel(Q, L, RngSeed(61, t)) for t in range(5)]
+    for kind in (PrecoderKind.zf(), PrecoderKind.rzf(L / 10.0)):
+        print("build_precoder", kind.name, Q, L, digest(*(build_precoder(H, kind) for H in channels)))
+for G, Q, L in ((5, 16, 256), (5, 64, 128), (3, 32, 48)):
+    W = wishart_gram(RngSeed(62).generator(), G, Q, L)
+    for label, kind, alphas in (("MF", PrecoderKind.mf(), None), ("ZF", PrecoderKind.zf(), None),
+                                ("RZF", PrecoderKind.rzf(L / 10.0), None),
+                                ("RZF stacked", PrecoderKind.rzf(), [L / 1e3, L / 10.0, L * 10.0])):
+        sig, intf, _ = gram_powers(W, kind, alphas)
+        print("gram_powers", label, G, Q, L, digest(sig, intf))
+"""
+
 # (label, python arguments, keep only the stdout lines starting with this prefix or None)
 COMMANDS = [
     *[(f"simulate {p}", [*_SIM, "--trials", "200", "--precoder", p], None) for p in ("mf", "zf", "rzf")],
@@ -82,6 +106,7 @@ COMMANDS = [
     *[(f"optimize {p} L={L} zeta {zeta}", [*_OPT, "--precoder", p, "--L", L, "--zeta", zeta], None)
       for p, L, zeta in (("rzf", "64", "2000"), ("zf", "64", "1e300"), ("mf", "64", "1e300"), ("all", "2048", "1500"))],
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
+    ("precoder bits", ["-c", _PRECODER_BITS], None),
     ("ACCEPTANCE 3 and 4", ["-m", "pytest", "tests/test_acceptance.py", "-q", "-s", "-p", "no:cacheprovider",
                             "-k", "criterion_3 or criterion_4"], "ACCEPTANCE"),
 ]
