@@ -308,10 +308,11 @@ def _axis_values(spec: ExperimentSpec) -> list:
         raise SpecError(f"sweep axis must be one of snr_db, Q, L, G; got {spec.axis!r}")
     if spec.step <= 0:
         raise SpecError("sweep step must be positive")
-    count = int(math.floor((spec.stop - spec.start) / spec.step + 1e-9)) + 1
-    if count < 1:
+    span = (spec.stop - spec.start) / spec.step + 1e-9  # floor(span) + 1 points; may overflow to inf
+    if span < 0:
         raise SpecError("empty sweep range")
-    if count > _MAX_SWEEP_POINTS:
+    count = int(span) + 1 if math.isfinite(span) else "infinitely many"
+    if span >= _MAX_SWEEP_POINTS:
         raise SpecError(f"sweep has {count} points, over the cap of {_MAX_SWEEP_POINTS}")
     values = [spec.start + i * spec.step for i in range(count)]
     if spec.axis in _INT_AXES:
@@ -424,7 +425,8 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
             config_values = json.load(fh)
         if not isinstance(config_values, dict):
             raise SpecError("config file must hold a JSON object")
-        preset_name = preset_name or config_values.pop("preset", None)
+        config_preset = config_values.pop("preset", None)
+        preset_name = preset_name or config_preset  # a --preset flag wins
         config_values.pop("command", None)
 
     if preset_name:

@@ -4,8 +4,8 @@ Builds MF / ZF / RZF precoding matrices under the average (expectation
 based) power normalization, computes the per-user SINRs of one
 transmission stage, and checks numerically that cached side information
 removes the inter-group component of the received signal exactly.  ZF is
-RZF's alpha = 0 member: one helper inverts W + alpha I for both, in Gram
-space and in H space, and applies ZF's rank rule to alpha = 0 only.
+RZF's alpha = 0 member; the precoder H^H R and the Gram-space powers share
+one inverse R = (W + alpha I)^-1, so they make one rank decision per draw.
 """
 
 from __future__ import annotations
@@ -64,14 +64,14 @@ class PrecoderKind:
 def build_precoder(H: np.ndarray, kind: PrecoderKind) -> np.ndarray:
     """L x Q precoding matrix for a Q x L channel.
 
-    MF is the Hermitian transpose, RZF H^H (H H^H + alpha I)^-1 and ZF its
-    alpha = 0 member, the right pseudo-inverse.  ZF raises
-    :class:`RankDeficient` on the draws :func:`gram_powers` rejects (Q > L too).
+    MF is the Hermitian transpose, RZF H^H R with R = (H H^H + alpha I)^-1
+    and ZF its alpha = 0 member.  R is :func:`gram_powers`' inverse, so ZF
+    raises :class:`RankDeficient` on exactly the draws it rejects (Q > L too).
     """
     if kind.name == "MF":
         return H.conj().T
-    X, _ = _regularized_inverse(H @ H.conj().T, kind, H=H)
-    return X.conj().T
+    R, _ = _regularized_inverse(H @ H.conj().T, kind)
+    return H.conj().T @ R
 
 
 def power_factor(
@@ -152,13 +152,12 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndar
     return sig, P.sum(axis=-1) - sig, trace
 
 
-def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None, H: np.ndarray | None = None):
-    """X solving (W + alpha I) X = I by ``inv`` (Gram space), or X = H by ``solve``.
+def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None):
+    """R = (W + alpha I)^-1 and the effective channel M = W R, for Gram matrices W.
 
     ZF is alpha = 0; RZF takes ``kind.alpha`` or the stacked ``alphas``.
-    Returns X and the effective channel M = W X (H X^H when H is given).
     A singular W + alpha I raises :class:`RankDeficient`, and so does the
-    ZF rank rule: an X that is not finite or an M more than 1e-6 from I.
+    ZF rank rule: an R that is not finite or an M more than 1e-6 from I.
     """
     alpha = kind.alpha if alphas is None else np.reshape(alphas, (-1,) + (1,) * W.ndim)
     if kind.name == "ZF":
@@ -167,15 +166,15 @@ def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None, H: np.n
         raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
     eye = np.eye(W.shape[-1])
     try:
-        X = np.linalg.inv(W + alpha * eye) if H is None else np.linalg.solve(W + alpha * eye, H)
+        R = np.linalg.inv(W + alpha * eye)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"singular Gram matrix in {kind.name} precoder") from exc
-    M = W @ X if H is None else H @ X.conj().T
+    M = W @ R
     if kind.name == "ZF":
         err = np.max(np.abs(M - eye))
-        if not (np.all(np.isfinite(X)) and err <= 1e-6):
+        if not (np.all(np.isfinite(R)) and err <= 1e-6):
             raise RankDeficient(f"ZF inverse not finite or identity residual {err:.2e} > 1e-6 on a near-singular draw")
-    return X, M
+    return R, M
 
 
 def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: float | None = None) -> np.ndarray:

@@ -173,6 +173,14 @@ class TestConfigFile:
                                       "--snr-db", "10", "--zeta", "0")
         assert parse(from_config[1])[0]["snr_db"] == "10.0"
 
+    def test_preset_flag_wins_over_config_preset(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"preset": "fig2-L32"}))
+        code, lines, err = run_cli(capsys, "sweep", "--preset", "fig1", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        assert lines == run_cli(capsys, "sweep", "--preset", "fig1", "--precoder", "all")[1]
+        assert "\n".join(lines) + "\n" == (GOLDEN / "fig1.csv").read_text()
+
     def test_bad_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"precoderz": "zf"}))
@@ -237,6 +245,18 @@ class TestErrors:
         assert code == 1
         assert lines == []
         assert err.startswith("error: SpecError:")
+
+    @pytest.mark.parametrize("start, stop, step, message", [
+        ("0", "100000", "1", "sweep has 100001 points, over the cap of 100000"),
+        ("0", "1", "5e-324", "sweep has infinitely many points, over the cap of 100000"),
+        ("1e308", "-1e308", "1", "empty sweep range"),
+    ], ids=["one-over-cap", "overflow", "overflow-below-zero"])
+    def test_sweep_point_count_out_of_range(self, capsys, start, stop, step, message):
+        # (stop - start) / step overflows to +-inf in the last two, which no int holds
+        code, lines, err = run_cli(capsys, "sweep", "--mode", "rate", "--precoder", "zf", "--G", "5", "--L", "64",
+                                   "--Q", "16", "--axis", "snr_db", f"--start={start}", f"--stop={stop}", "--step", step)
+        assert (code, lines) == (1, [])
+        assert err == f"error: SpecError: {message}\n"
 
 
 # 0.07 at G = 7, L = 100 is one of the (zeta, G, L) triples where the model's coefficient is an ulp off the typed one.

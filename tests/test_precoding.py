@@ -20,6 +20,14 @@ from ccdl.precoding import (
 from ccdl.scheme import SchemeConfig, scheme_for_gain, validate
 
 
+def _raises_rank_deficient(call) -> bool:
+    try:
+        call()
+    except RankDeficient:
+        return True
+    return False
+
+
 class TestBuildPrecoder:
     def test_zf_defining_identity(self):
         for t in range(5):
@@ -50,6 +58,21 @@ class TestBuildPrecoder:
             build_precoder(H, PrecoderKind.zf())
         with pytest.raises(RankDeficient):
             gram_powers(H @ H.conj().T, PrecoderKind.zf())
+
+    def test_zf_rank_decision_matches_stage_sinrs(self):
+        # rows 1e-12 ... 1e-4 apart straddle ZF's rank rule; the precoder and the
+        # Gram-space SINRs take one inverse of H H^H, so they reject the same draws
+        zf, scheme = PrecoderKind.zf(), scheme_for_gain(16, 10.0, 1, 8, precoder="ZF")
+        outcomes, disagree = set(), []
+        for t, offset in enumerate(np.repeat(np.geomspace(1e-12, 1e-4, 400), 5)):
+            H = draw_channel(8, 16, RngSeed(90, t))
+            H[1] = H[0] + offset * draw_channel(1, 16, RngSeed(91, t))[0]
+            rejected = _raises_rank_deficient(lambda: build_precoder(H, zf))
+            outcomes.add(rejected)
+            if rejected != _raises_rank_deficient(lambda: stage_sinrs([H], zf, scheme)):
+                disagree.append(t)
+        assert outcomes == {True, False}
+        assert disagree == []
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -126,9 +149,17 @@ class TestPowerFactor:
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+def _h_space_precoder(H: np.ndarray, kind: PrecoderKind) -> np.ndarray:
+    """Reference L x Q precoder by ``solve`` against H, independent of build_precoder's ``inv``."""
+    if kind.name == "MF":
+        return H.conj().T
+    alpha = 0.0 if kind.name == "ZF" else kind.alpha
+    return np.linalg.solve(H @ H.conj().T + alpha * np.eye(H.shape[0]), H).conj().T
+
+
 def _h_space_powers(H: np.ndarray, kind: PrecoderKind):
-    """Reference powers from the L x Q precoder itself: H V, its rows, Tr{V^H V}."""
-    V = build_precoder(H, kind)
+    """Reference powers from the L x Q reference precoder itself: H V, its rows, Tr{V^H V}."""
+    V = _h_space_precoder(H, kind)
     P = np.abs(H @ V) ** 2
     sig = np.diagonal(P).copy()
     return sig, P.sum(axis=1) - sig, float(np.sum(np.abs(V) ** 2))
@@ -148,8 +179,9 @@ class TestGramPowers:
         ids=["mf", "mf-Q>L", "zf", "rzf", "rzf-low-snr", "rzf-high-snr"],
     )
     def test_matches_h_space_reference(self, kind, Q, L):
-        # every group of a batched call agrees with its own precoder to 1e-12,
-        # relative to that group's largest signal power (powers) and trace
+        # every group of a batched call, and build_precoder on that group's H, agrees
+        # to 1e-12 with a reference precoder solved in H space, relative to the group's
+        # largest signal power (powers), its trace and the reference's largest entry
         channels = [draw_channel(Q, L, RngSeed(12, g)) for g in range(3)]
         sig, intf, trace = gram_powers(np.stack([H @ H.conj().T for H in channels]), kind)
         assert sig.shape == intf.shape == (3, Q) and trace.shape == (3,)
@@ -159,6 +191,8 @@ class TestGramPowers:
             assert np.max(np.abs(sig[g] - ref_sig)) <= 1e-12 * scale
             assert np.max(np.abs(intf[g] - ref_intf)) <= 1e-12 * scale
             assert abs(trace[g] - ref_trace) <= 1e-12 * ref_trace
+            ref_V = _h_space_precoder(H, kind)
+            assert np.max(np.abs(build_precoder(H, kind) - ref_V)) <= 1e-12 * np.max(np.abs(ref_V))
 
     def test_rzf_needs_alpha(self):
         with pytest.raises(ValueError):

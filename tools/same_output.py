@@ -11,7 +11,7 @@ report gives one line per command: whether stdout, stderr and the exit
 status are byte-identical, followed by the first differing lines of any
 stream that differs.  The exit status is 0 when every command matched.
 
-The list of 29 commands covers ``simulate`` and ``sweep --mode simulate``
+The list of 30 commands covers ``simulate`` and ``sweep --mode simulate``
 (MF, ZF, RZF; the trials=0 error; Q > L for MF; the ZF error at Q = L; a
 threaded Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits
 over 5 trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
@@ -23,9 +23,10 @@ feasible intervals that are empty (``--L 64`` at ``--zeta 2000`` for RZF,
 ``1e300`` for ZF and MF) or narrower than RZF's grid step (``--L 2048 --zeta
 1500``), ``power_factor(mode="montecarlo")`` for every precoder, the sha256
 digests of ``build_precoder`` (ZF, RZF) and of ``gram_powers``' signal and
-interference powers (MF, ZF, RZF, stacked alphas) on fixed seeded draws, and
-the ``ACCEPTANCE 3`` and ``ACCEPTANCE 4`` lines of the acceptance suite
-(only those lines of its stdout are compared).
+interference powers (MF, ZF, RZF, stacked alphas) on fixed seeded draws,
+the ZF accept/reject decisions of ``build_precoder`` and ``stage_sinrs`` on
+200 near-singular draws, and the ``ACCEPTANCE 3`` and ``ACCEPTANCE 4`` lines
+of the acceptance suite (only those lines of its stdout are compared).
 """
 
 from __future__ import annotations
@@ -78,6 +79,29 @@ for G, Q, L in ((5, 16, 256), (5, 64, 128), (3, 32, 48)):
         print("gram_powers", label, G, Q, L, digest(sig, intf))
 """
 
+# ZF's rank decision per draw ("1" accepts, "0" raises RankDeficient) in H space and in Gram space,
+# on draws whose rows 0 and 1 are 1e-12 ... 1e-4 apart
+_RANK_DECISIONS = """
+import numpy as np
+from ccdl.channel import RngSeed, draw_channel
+from ccdl.precoding import PrecoderKind, RankDeficient, build_precoder, stage_sinrs
+from ccdl.scheme import scheme_for_gain
+def accepts(call):
+    try:
+        call()
+    except RankDeficient:
+        return "0"
+    return "1"
+kind, scheme = PrecoderKind.zf(), scheme_for_gain(16, 10.0, 1, 8, precoder="ZF")
+channels = []
+for t, offset in enumerate(np.geomspace(1e-12, 1e-4, 200)):
+    H = draw_channel(8, 16, RngSeed(92, t))
+    H[1] = H[0] + offset * draw_channel(1, 16, RngSeed(93, t))[0]
+    channels.append(H)
+print("build_precoder", "".join(accepts(lambda: build_precoder(H, kind)) for H in channels))
+print("stage_sinrs   ", "".join(accepts(lambda: stage_sinrs([H], kind, scheme)) for H in channels))
+"""
+
 # (label, python arguments, keep only the stdout lines starting with this prefix or None)
 COMMANDS = [
     *[(f"simulate {p}", [*_SIM, "--trials", "200", "--precoder", p], None) for p in ("mf", "zf", "rzf")],
@@ -107,6 +131,7 @@ COMMANDS = [
       for p, L, zeta in (("rzf", "64", "2000"), ("zf", "64", "1e300"), ("mf", "64", "1e300"), ("all", "2048", "1500"))],
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
     ("precoder bits", ["-c", _PRECODER_BITS], None),
+    ("ZF rank decisions", ["-c", _RANK_DECISIONS], None),
     ("ACCEPTANCE 3 and 4", ["-m", "pytest", "tests/test_acceptance.py", "-q", "-s", "-p", "no:cacheprovider",
                             "-k", "criterion_3 or criterion_4"], "ACCEPTANCE"),
 ]
