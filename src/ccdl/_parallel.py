@@ -1,12 +1,12 @@
 """Ordered maps for sweeps and seeded trial loops, and the OpenBLAS pin; the benchmark's tracer hooks ``map_ordered``.
 
 ``map_ordered`` runs on the calling thread: Python and small numpy calls hold the interpreter lock.
-``map_threads``, for LAPACK-bound items (``channel.seeded_map`` at Q >= ``channel._THREAD_MIN_Q``), runs a
-thread per CPU, the calling thread included; each takes the next item as it frees, so none idles while another
-works through a fixed share, and the results come back in item order: the serial output.  With one CPU or no
-settable OpenBLAS it is ``map_ordered``.  ``one_blas_thread`` holds numpy's OpenBLAS at one thread: its own
-threads made the trial threads slower than serial, and after each pooled call its idle worker spin-waits on a
-CPU that the trial threads need.
+``map_threads``, for LAPACK-bound items (``channel.seeded_map`` trials whose inverse work reaches
+``channel._THREAD_MIN_WORK``), runs a thread per CPU, the calling thread included; each takes the next item as
+it frees, so none idles while another works through a fixed share, and the results come back in item order:
+the serial output.  With one CPU or no settable OpenBLAS it is ``map_ordered``.  ``one_blas_thread`` holds
+numpy's OpenBLAS at one thread: its own threads made the trial threads slower than serial, and after each
+pooled call its idle worker spin-waits on a CPU that the trial threads need.
 """
 
 from __future__ import annotations

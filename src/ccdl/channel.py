@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,14 @@ class RngSeed:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def rekey(self, gen: np.random.Generator) -> np.random.Generator:
+        """Re-key ``gen``'s Philox to this stream at counter 0, buffer empty, and return it: it then
+        draws what :meth:`generator` would, without the cost of building a generator."""
+        zeros, key = (0, 0, 0, 0), (self.seed, self.stream_id)
+        gen.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                   "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return gen
 
 
 def complex_gaussian(gen: np.random.Generator, Q: int, L: int) -> np.ndarray:
@@ -108,28 +117,44 @@ def wishart_gram(gen: np.random.Generator, G: int, Q: int, L: int) -> np.ndarray
 
 _RESAMPLE_CAP = 8  # redraws allowed within one trial
 _SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to need a redraw
-_THREAD_MIN_Q = 32  # narrowest draw run on threads: on 2 vCPUs they lost at Q = 16, won from 32 (BENCH_7.json)
+# Least per-trial inverse work (matrices inverted per draw x Q^3) run on threads.  On 2 vCPUs, over three
+# tools/thread_gate.py runs (one in BENCH_16.json), serial/threaded read 0.73-0.90 at 10 x 16^3 (a 1-SNR
+# MF, ZF and RZF ensemble), 1.09-1.29 at 15 x 16^3, 1.36-1.48 at 30 x 16^3 (5 SNRs) and 1.5-2.2 from 5 x 32^3.
+_THREAD_MIN_WORK = 2**16
 
 
-def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
+def seeded_map(draw, kernels, trials: int, seed: RngSeed, work: float = 0) -> list[list]:
     """Each kernel's results over trials 0..trials-1: one list per kernel, in trial order.
 
-    Trial t draws lazily from the generator of ``seed.substream(t)``: draw
-    i is the i-th ``draw(gen)`` call, made once and shared, so draws are a
-    pure function of (seed, t).  Each kernel takes the first draw it
-    accepts; raising :class:`RankDeficient` moves it to the next.  So each
-    kernel's results are exactly those it gets running alone.  For any
-    kernel, more than 8 redraws in one trial, or redraws in more than 0.1%
-    of the trials, raise :class:`SingularDraw`: that signals a defect
-    rather than the measure-zero event a singular draw should be.  If
-    trial 0's first draw stacks Q x Q matrices with Q >= _THREAD_MIN_Q,
-    trials 1.. run through :func:`ccdl._parallel.map_threads`, with the
-    serial loop's results and first error.  Every trial, trial 0
-    included, runs under :func:`ccdl._parallel.one_blas_thread`.
-    """
+    Trial t draws from the stream of ``seed.substream(t)``: draw i is the
+    i-th ``draw(gen)`` call, made once and shared, and draws after the
+    first only when a kernel asks, so draws are a pure function of
+    (seed, t).  Each thread keeps one generator for the call and re-keys
+    it (:meth:`RngSeed.rekey`) at each of its trials.  Each kernel takes
+    the first draw it accepts; raising :class:`RankDeficient` moves it to
+    the next.  So each kernel's results are exactly those it gets running
+    alone.  For any kernel, more than 8 redraws in one trial, or redraws in
+    more than 0.1% of the trials, raise :class:`SingularDraw`: that signals
+    a defect rather than the measure-zero event a singular draw should be.
 
-    def one_trial(t: int, draws: list) -> list:
-        gen = seed.substream(t).generator()
+    ``work`` is the caller's measure of one trial's inverse work: the
+    matrices its kernels invert (or decompose) per draw, times Q^3.  From
+    ``_THREAD_MIN_WORK`` on, the trials run through
+    :func:`ccdl._parallel.map_threads`, with the serial loop's results and
+    first error; below it, the interpreter-lock-bound numpy calls around
+    the LAPACK ones make threads slower than one.  Every trial runs under
+    :func:`ccdl._parallel.one_blas_thread`.
+    """
+    local = threading.local()
+
+    def one_trial(t: int) -> list:
+        stream = seed.substream(t)
+        gen = getattr(local, "gen", None)
+        gen = local.gen = stream.generator() if gen is None else stream.rekey(gen)
+        # The thread's previous draws go only once this trial has drawn.  Freed with their trial, a
+        # (5, 64, 128) RZF pass's arrays went back to the system and were faulted in again: 25,000
+        # minor page faults per 100 trials, against 1,000 when they stay until the next draw.
+        draws = local.draws = [draw(gen)]
 
         def first_accepted(kernel):
             for resamples in range(_RESAMPLE_CAP + 1):
@@ -148,11 +173,7 @@ def seeded_map(draw, kernels, trials: int, seed: RngSeed) -> list[list]:
     if not kernels:
         return []
     with one_blas_thread():
-        first = []
-        rows = [one_trial(0, first)]
-        width = np.shape(first[0])[-1] if np.ndim(first[0]) else 0
-        run = map_threads if width >= _THREAD_MIN_Q else map_ordered
-        rows += run(lambda t: one_trial(t, []), range(1, trials))
+        rows = (map_threads if work >= _THREAD_MIN_WORK else map_ordered)(one_trial, range(trials))
     columns = list(zip(*rows))
     resampled = max((sum(1 for _, r in column if r) for column in columns), default=0)
     if resampled > _SINGULAR_BUDGET * trials:
@@ -176,7 +197,8 @@ def wishart_inv_trace_mc(Q: int, L: int, trials: int, rng: RngSeed) -> float:
             raise RankDeficient("singular Gram matrix")
         return float(np.sum(1.0 / w))
 
-    return math.fsum(seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [inv_trace], trials, rng)[0]) / trials
+    (values,) = seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [inv_trace], trials, rng, Q**3)
+    return math.fsum(values) / trials
 
 
 def resolvent_trace(H: np.ndarray, z: float) -> float:

@@ -158,12 +158,14 @@ def _require(spec: ExperimentSpec, *names: str) -> None:
 
 
 # (field, lower bound, whether the bound itself is excluded)
-_LOWER_BOUNDS = (("zeta", 0, False), ("beta", 0, False), ("tc", 0, True), ("wc", 0, True), ("L", 1, False))
+_LOWER_BOUNDS = (("zeta", 0, False), ("beta", 0, False), ("tc", 0, True), ("wc", 0, True), ("L", 1, False),
+                 ("trials", 1, False), ("seed", 0, False))
 
 
 def _check_domain(spec: ExperimentSpec) -> None:
     """Reject non-finite float fields, a negative --zeta or --beta, a --tc or --wc
-    that is not positive or whose product underflows, and an antenna count below one."""
+    that is not positive or whose product underflows, an antenna count or --trials
+    below one, and a --seed outside [0, 2**64)."""
     bad = [n for n in _FLOAT_FIELDS if getattr(spec, n) is not None and not math.isfinite(getattr(spec, n))]
     if bad:
         raise SpecError(f"{', '.join('--' + n.replace('_', '-') for n in bad)} must be finite")
@@ -171,6 +173,8 @@ def _check_domain(spec: ExperimentSpec) -> None:
         value = getattr(spec, name)
         if value is not None and (value <= bound if strict else value < bound):
             raise SpecError(f"--{name} must be {'>' if strict else '>='} {bound}, got {value}")
+    if spec.seed >= 2**64:
+        raise SpecError(f"--seed must be < 2**64, got {spec.seed}")
     if spec.tc is not None and spec.wc is not None and spec.tc * spec.wc == 0:
         raise SpecError(f"--tc * --wc underflows to 0 (--tc {spec.tc}, --wc {spec.wc})")
 

@@ -68,14 +68,60 @@ def _sum_rates(s, sig: np.ndarray, intf: np.ndarray) -> np.ndarray:
     return np.log1p(s * sig / (1.0 + s * intf)).sum(axis=-1)
 
 
-def _kernel(kinds: list[PrecoderKind]):
-    """Trial kernel of same-name kinds: the trial's powers and trace sum, one row per kind (RZF's alpha stack)."""
+def _rows(n: int, sig: np.ndarray, intf: np.ndarray, traces: np.ndarray) -> tuple:
+    """Powers as n kernel rows: (n, G*Q) signal and interference powers, and traces summed over the G groups."""
+    return sig.reshape(n, -1), intf.reshape(n, -1), traces.reshape(n, -1).sum(axis=-1)
 
-    n, alphas = len(kinds), np.array([kind.alpha for kind in kinds])
 
-    def kernel(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sig, intf, traces = precoding.gram_powers(W, kinds[0], alphas)
-        return sig.reshape(n, -1), intf.reshape(n, -1), traces.reshape(n, -1).sum(axis=-1)
+_STACK = PrecoderKind.rzf()  # the stacked inverse takes its alphas, ZF's 0 included, and no rank rule
+
+
+class _Draw:
+    """One trial draw: the G Gram matrices ``W``, and the pass's ZF and RZF rows inverted in one call.
+
+    ``inverted()`` runs :func:`ccdl.precoding._regularized_inverse` on W
+    once over the stacked ``alphas`` (ZF's 0 first), for whichever kernel
+    asks first, and keeps (R, M, kernel rows of the powers) for the other;
+    it is None where some W + alpha I is singular.
+    """
+
+    __slots__ = ("W", "_alphas", "_inverted")
+
+    def __init__(self, W: np.ndarray, alphas: list[float]):
+        self.W, self._alphas, self._inverted = W, alphas, False
+
+    def inverted(self):
+        if self._inverted is False:
+            try:
+                R, M = precoding._regularized_inverse(self.W, _STACK, self._alphas)
+            except precoding.RankDeficient:
+                self._inverted = None
+            else:
+                self._inverted = R, M, _rows(len(self._alphas), *precoding._inverse_powers(R, M))
+        return self._inverted
+
+
+def _kernel(kinds: list[PrecoderKind], first: int):
+    """Trial kernel of same-name kinds: the trial's powers and trace sum, one row per kind (RZF's alpha stack).
+
+    ZF and RZF take their rows of the draw's stacked inverse, from row
+    ``first`` on, and ZF's rank rule reads ZF's row alone.  Where the
+    stack is singular (at ZF's alpha = 0), each kind inverts by itself, as
+    MF always computes alone; so a draw that ZF rejects moves neither MF
+    nor RZF, and every row is bit-equal to its kind's own
+    :func:`ccdl.precoding.gram_powers` call.
+    """
+    kind, n, rows = kinds[0], len(kinds), slice(first, first + len(kinds))
+    alphas = [k.alpha for k in kinds] if kind.name == "RZF" else None
+
+    def kernel(draw: _Draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        inverted = None if kind.name == "MF" else draw.inverted()
+        if inverted is None:
+            return _rows(n, *precoding.gram_powers(draw.W, kind, alphas))
+        R, M, powers = inverted
+        if kind.name == "ZF":
+            precoding._zf_rank_rule(R[rows], M[rows])
+        return tuple(p[rows] for p in powers)
 
     return kernel
 
@@ -93,8 +139,11 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
     Configs sharing (seed, trials, G, Q, L) share their draws, which depend
     on neither SNR nor precoder: such an ensemble runs one
     :func:`ccdl.channel.seeded_map` pass, and each estimate is bit-equal to
-    its config's run alone.  Rows whose kept powers would pass 64 MiB split
-    over further passes that redraw the same trials.
+    its config's run alone.  Per draw, the pass's ZF and RZF rows come
+    from one stacked inverse (:class:`_Draw`), and the pass's inverse work,
+    G matrices per such row times Q^3, decides whether its trials run on
+    threads.  Rows whose kept powers would pass 64 MiB split over further
+    passes that redraw the same trials.
     """
     configs = list(configs)
     ensembles = {}
@@ -116,8 +165,11 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
             groups = {}
             for kind in rows[start : start + per_pass]:
                 groups.setdefault(kind.name, []).append(kind)
-            kernels = [_kernel(kinds) for kinds in groups.values()]
-            columns = seeded_map(lambda gen: wishart_gram(gen, G, Q, L), kernels, trials, seed)
+            stack = [*groups.get("ZF", ()), *groups.get("RZF", ())]
+            alphas = [kind.alpha or 0.0 for kind in stack]  # ZF's alpha is None
+            kernels = [_kernel(kinds, stack.index(kinds[0]) if kinds[0] in stack else 0) for kinds in groups.values()]
+            draw = lambda gen: _Draw(wishart_gram(gen, G, Q, L), alphas)  # noqa: E731
+            columns = seeded_map(draw, kernels, trials, seed, len(stack) * G * Q**3)
             for kinds, per_trial in zip(groups.values(), columns):  # (sig, intf, traces) of each trial
                 for a, kind in enumerate(kinds):
                     mean_trace = math.fsum(traces[a] for _, _, traces in per_trial) / (trials * G)
@@ -193,6 +245,7 @@ def deterministic_equivalent_check(
         r00 = np.linalg.inv(W + alpha * np.eye(Q))[0, 0].real
         return float(1.0 / (alpha * r00) - 1.0)
 
-    a_emp = math.fsum(seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [quadratic_form], trials, seed)[0]) / trials
+    (values,) = seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [quadratic_form], trials, seed, Q**3)
+    a_emp = math.fsum(values) / trials
     a_theory = analytic.stieltjes(c, 1.0 / p_t)
     return a_emp, a_theory, abs(a_emp - a_theory) / a_theory

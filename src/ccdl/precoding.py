@@ -115,7 +115,8 @@ def power_factor(
         raise ValueError("montecarlo mode needs trials and seed")
 
     kind = _resolved(kind, scheme)
-    (traces,) = seeded_map(lambda gen: wishart_gram(gen, 1, Q, L), [lambda W: gram_powers(W, kind)[2][0]], trials, seed)
+    draw, kernel = lambda gen: wishart_gram(gen, 1, Q, L), lambda W: gram_powers(W, kind)[2][0]
+    (traces,) = seeded_map(draw, [kernel], trials, seed, 0 if kind.name == "MF" else Q**3)
     return math.sqrt(p_t / (math.fsum(traces) / trials))
 
 
@@ -140,13 +141,17 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndar
     ``kind.alpha``, adding a leading axis of size n; MF and ZF ignore them.
     """
     if kind.name == "MF":
-        M = W
-        trace = np.trace(W, axis1=-2, axis2=-1).real
-    else:
-        R, M = _regularized_inverse(W, kind, alphas)
-        # not I - alpha R or Tr R - alpha ||R||_F^2: both cancel when
-        # alpha = L / p_t is large (low SNR)
-        trace = np.einsum("...ij,...ji->...", R, M).real
+        return _powers(W, np.trace(W, axis1=-2, axis2=-1).real)
+    return _inverse_powers(*_regularized_inverse(W, kind, alphas))
+
+
+def _inverse_powers(R: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gram_powers` of a ZF or RZF stack from its inverse R and effective channel M = W R."""
+    # not I - alpha R or Tr R - alpha ||R||_F^2: both cancel when alpha = L / p_t is large (low SNR)
+    return _powers(M, np.einsum("...ij,...ji->...", R, M).real)
+
+
+def _powers(M: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     P = np.abs(M) ** 2
     sig = np.diagonal(P, axis1=-2, axis2=-1).copy()
     return sig, P.sum(axis=-1) - sig, trace
@@ -164,17 +169,21 @@ def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None):
         alpha = 0.0
     elif alpha is None:
         raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
-    eye = np.eye(W.shape[-1])
     try:
-        R = np.linalg.inv(W + alpha * eye)
+        R = np.linalg.inv(W + alpha * np.eye(W.shape[-1]))
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"singular Gram matrix in {kind.name} precoder") from exc
     M = W @ R
     if kind.name == "ZF":
-        err = np.max(np.abs(M - eye))
-        if not (np.all(np.isfinite(R)) and err <= 1e-6):
-            raise RankDeficient(f"ZF inverse not finite or identity residual {err:.2e} > 1e-6 on a near-singular draw")
+        _zf_rank_rule(R, M)
     return R, M
+
+
+def _zf_rank_rule(R: np.ndarray, M: np.ndarray) -> None:
+    """Raise :class:`RankDeficient` where ZF's inverse R is not finite or M = W R is more than 1e-6 from I."""
+    err = np.abs(M - np.eye(M.shape[-1])).max()
+    if not (np.isfinite(R).all() and err <= 1e-6):
+        raise RankDeficient(f"ZF inverse not finite or identity residual {err:.2e} > 1e-6 on a near-singular draw")
 
 
 def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: float | None = None) -> np.ndarray:

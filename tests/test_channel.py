@@ -5,6 +5,7 @@ import math
 import threading
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -216,6 +217,20 @@ class TestSeededMap:
             assert [got[order[0]], got[order[1]]] == solo
             assert len(drawn) == 1001  # trial 3's draw 1 is the only extra draw
 
+    def test_draws_live_until_the_next_trial_has_drawn(self):
+        # one trial's draws stay, so the allocator reuses their memory, and none outlive the call
+        live, seen = weakref.WeakSet(), []
+
+        class Draw:
+            def __init__(self, gen):
+                seen.append(len(live))
+                live.add(self)
+                self.value = _uniform(gen)
+
+        assert seeded_map(Draw, [lambda d: d.value], 50, self.SEED) == [[_first_draws(self.SEED, t, 1)[0]
+                                                                          for t in range(50)]]
+        assert seen == [0] + [1] * 49 and len(live) == 0
+
     def test_worker_count_invariance(self, trial_workers):
         kernels = [_rejecting({_first_draws(self.SEED, 1, 1)[0]})]
         trial_workers(1)
@@ -239,16 +254,53 @@ def _recording_draw(seen: list):
 
 
 def _recording(calls: list, fail_on=frozenset()):
-    """A kernel that logs (thread, BLAS threads) per call and raises ValueError on draws in ``fail_on``."""
+    """A kernel that logs (thread, BLAS threads) per call and raises ValueError on draws in ``fail_on``.
+
+    It sleeps 1 ms, releasing the interpreter lock as a LAPACK call would, so
+    that a second trial thread gets trials.
+    """
     get = _parallel._openblas()[0]
 
     def kernel(x: float) -> float:
         calls.append((threading.get_ident(), get()))
+        time.sleep(1e-3)
         if x in fail_on:
             raise ValueError("test failure")
         return x
 
     return kernel
+
+
+class TestTrialGenerators:
+    SEED = RngSeed(79, 2**64 - 30)  # its substreams wrap past 2**64
+
+    @staticmethod
+    def _stream(gen) -> tuple:
+        return (*gen.random(3), *gen.standard_normal(2), *gen.standard_gamma(2.5, 2), int(gen.integers(2**32)))
+
+    def test_rekey_restarts_at_counter_zero(self):
+        gen = RngSeed(1).generator()
+        gen.random(5)
+        gen.integers(2**32, dtype=np.uint32)  # leaves half a 64-bit word buffered
+        for seed in (RngSeed(5, 7), RngSeed(2**64 - 1, 2**64 - 1), RngSeed(5, 7)):
+            assert seed.rekey(gen) is gen
+            assert self._stream(gen) == self._stream(seed.generator())
+
+    def test_each_trial_thread_rekeys_its_own_generator(self, trial_workers):
+        trial_workers(2)
+        used = []
+
+        def draw(gen) -> tuple:
+            used.append((threading.get_ident(), id(gen)))
+            time.sleep(1e-3)  # releases the interpreter lock, so the worker thread takes trials
+            return self._stream(gen)
+
+        (got,) = seeded_map(draw, [lambda values: values], 60, self.SEED)
+        assert got == [self._stream(self.SEED.substream(t).generator()) for t in range(60)]
+        generators = {thread: {gen for t, gen in used if t == thread} for thread, _ in used}
+        assert threading.get_ident() in generators and len(generators) == 2
+        assert all(len(gens) == 1 for gens in generators.values())
+        assert len(set.union(*generators.values())) == 2
 
 
 class TestTrialThreads:

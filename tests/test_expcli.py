@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -216,6 +217,19 @@ class TestErrors:
         assert err.startswith("error: SpecError:") and err.count("\n") == 1
         assert flags[0] in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "--trials must be >= 1, got 0"), ("--trials", "-3", "--trials must be >= 1, got -3"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
+        ("--seed", str(2**64), f"--seed must be < 2**64, got {2**64}"),
+    ])
+    @pytest.mark.parametrize("command", [("simulate",), ("sweep", "--mode", "simulate", "--axis", "Q",
+                                                         "--start", "8", "--stop", "16", "--step", "8")])
+    def test_trials_and_seed_out_of_range_name_the_flag(self, capsys, command, flag, value, message):
+        code, lines, err = run_cli(capsys, *command, "--precoder", "zf", "--G", "2", "--L", "32", "--Q", "8",
+                                   "--snr-db", "10", "--trials", "100", flag, value)
+        assert (code, lines) == (1, [])
+        assert err == f"error: SpecError: {message}\n"
+
     def test_underflowing_coherence_block_names_both_flags(self, capsys):
         code, lines, err = run_cli(capsys, "rate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16",
                                    "--snr-db", "10", "--beta", "10", "--tc", "1e-300", "--wc", "1e-300")
@@ -401,6 +415,21 @@ class TestOutputStability:
         golden = out[0].read_bytes()
         assert out[1].read_bytes() == golden
         assert out[2].read_bytes() == golden
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_hardening_sweep_byte_equal_serial_and_threaded(self, capsys, trial_workers, workers):
+        # five SNRs of MF, ZF and RZF: one ensemble whose ZF and RZF rows share one stacked inverse; four
+        # threads on a short switch interval stress each thread's own re-keyed generator
+        trial_workers(1)
+        serial = run_cli(capsys, *HARDENING)
+        trial_workers(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threaded = run_cli(capsys, *HARDENING)
+        finally:
+            sys.setswitchinterval(interval)
+        assert serial[0] == 0 and threaded == serial
 
     def test_simulate_sweep_matches_golden(self, capsys):
         """Guards the random stream: text fields exactly, numbers to 1e-12 relative (bit-exactness

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from ccdl.analytic import RateInputs, mf_rate, mf_rate_finite, rzf_rate, zf_rate
-from ccdl import montecarlo
-from ccdl.channel import RngSeed, wishart_inv_trace_mc
+from ccdl import channel, montecarlo
+from ccdl.channel import RngSeed, seeded_map, wishart_gram, wishart_inv_trace_mc
 from ccdl.montecarlo import (
     McConfig,
     convergence_report,
@@ -16,7 +16,7 @@ from ccdl.montecarlo import (
     estimate_sum_rate,
     estimate_sum_rates,
 )
-from ccdl.precoding import PrecoderKind, power_factor
+from ccdl.precoding import PrecoderKind, gram_powers, power_factor
 from ccdl.scheme import scheme_for_gain
 
 
@@ -157,6 +157,21 @@ class TestEstimateSumRates:
         assert estimate_sum_rates(configs) == alone
         assert estimate_sum_rates(configs[::-1]) == alone[::-1]
 
+    @pytest.mark.parametrize("snrs, rows, threaded", [((10.0,), 2, False), ((0.0, 5.0, 10.0, 15.0, 20.0), 6, True)],
+                             ids=["one-snr", "five-snrs"])
+    def test_thread_gate_counts_inverted_matrices(self, monkeypatch, snrs, rows, threaded):
+        # mc-hardening's ensemble: ZF's row and one RZF row per SNR, G = 5 matrices each, at Q = 16
+        passes, seeded_map = [], montecarlo.seeded_map
+
+        def record(draw, kernels, trials, seed, work=0):
+            passes.append(work)
+            return seeded_map(draw, kernels, trials, seed, work)
+
+        monkeypatch.setattr(montecarlo, "seeded_map", record)
+        estimate_sum_rates([mc(p, 256, 16, 5, trials=100, snr_db=snr) for snr in snrs for p in ("MF", "ZF", "RZF")])
+        assert passes == [rows * 5 * 16**3]
+        assert (passes[0] >= channel._THREAD_MIN_WORK) == threaded
+
     def test_exact_power_factors_resolve_before_any_trial(self, monkeypatch):
         configs = [mc("MF", 16, 4, 2, trials=100), mc("ZF", 16, 4, 2, trials=100)]
         square = dataclasses.replace(configs[1], scheme=scheme_for_gain(16, 10.0, 2, 16, precoder="ZF"))
@@ -167,6 +182,66 @@ class TestEstimateSumRates:
         monkeypatch.setattr(montecarlo, "wishart_gram", no_draws)
         with pytest.raises(ValueError, match="needs L > Q"):
             estimate_sum_rates([*configs, square])
+
+
+def _solo_rows(W: np.ndarray, kind: PrecoderKind) -> tuple:
+    sig, intf, traces = gram_powers(W, kind)
+    return sig.reshape(1, -1), intf.reshape(1, -1), traces.reshape(1, -1).sum(axis=-1)
+
+
+def _pass_kernels(alphas: list[float]):
+    """The draw and MF, ZF and RZF kernels of a pass that holds every precoder, as estimate_sum_rates builds them."""
+    rzf = [PrecoderKind.rzf(a) for a in alphas]
+    kernels = [montecarlo._kernel([PrecoderKind.mf()], 0), montecarlo._kernel([PrecoderKind.zf()], 0),
+               montecarlo._kernel(rzf, 1)]
+    return (lambda W: montecarlo._Draw(W, [0.0, *alphas])), kernels, rzf
+
+
+class TestStackedInverse:
+    @pytest.mark.parametrize("G, Q, L", [(5, 16, 256), (5, 64, 128), (3, 8, 8)])
+    def test_rows_equal_solo_gram_powers(self, G, Q, L):
+        # ZF is row 0 of the stacked inverse of the RZF alphas; every row is its kind's own call bit for bit
+        make, kernels, rzf = _pass_kernels([L / 1e2, L / 10.0, L * 10.0])
+        for t in range(20):
+            W = wishart_gram(RngSeed(15, t).generator(), G, Q, L)
+            draw = make(W)
+            rows = [kernel(draw) for kernel in kernels]
+            solo = [_solo_rows(W, PrecoderKind.mf()), _solo_rows(W, PrecoderKind.zf()),
+                    [np.concatenate(part) for part in zip(*(_solo_rows(W, kind) for kind in rzf))]]
+            for got, want in zip(rows, solo):
+                assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["rank-rule", "singular-stack"])
+    def test_draw_only_zf_rejects_moves_zf_alone(self, exact):
+        # trial 0's first draw is singular in one group: ZF redraws, MF and RZF keep draw 0.  A rank Q - 1
+        # group fails ZF's rank rule; one with a zero row and column makes the stacked inverse raise
+        # LinAlgError, so RZF inverts its own alphas.
+        G, Q, L, seed = 3, 8, 32, RngSeed(16)
+        singular = wishart_gram(RngSeed(17).generator(), 1, Q, Q - 1)[0]
+        if exact:
+            singular[-1, :] = singular[:, -1] = 0
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(singular)
+        make, kernels, rzf = _pass_kernels([L / 10.0, L * 10.0])
+        made = []
+
+        def draw(gen):
+            first = not gen.bit_generator.state["state"]["counter"].any()
+            W = wishart_gram(gen, G, Q, L)
+            if first and gen.bit_generator.state["state"]["key"][1] == seed.stream_id:
+                W[1] = singular
+            made.append(W)
+            return make(W)
+
+        mf, zf, rzf_rows = (column[0] for column in seeded_map(draw, kernels, 1000, seed))
+        draw_0, draw_1 = made[0], made[1]
+        assert np.array_equal(draw_0[1], singular)
+        with pytest.raises(montecarlo.precoding.RankDeficient):
+            gram_powers(draw_0, PrecoderKind.zf())
+        solo_rzf = [np.concatenate(part) for part in zip(*(_solo_rows(draw_0, kind) for kind in rzf))]
+        for got, want in ((mf, _solo_rows(draw_0, PrecoderKind.mf())), (zf, _solo_rows(draw_1, PrecoderKind.zf())),
+                          (rzf_rows, solo_rzf)):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 @pytest.mark.parametrize(
