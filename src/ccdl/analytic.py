@@ -152,6 +152,17 @@ def _check_transform_args(c: float, z: float) -> None:
         raise SnrOutOfRange(f"snr_db={-10.0 * math.log10(z):g} is out of range: z^2 = 1/p_t^2 underflows")
 
 
+def _stieltjes(c: float, z: float) -> float:
+    disc = (1 - c) ** 2 / z**2 + 2 * (1 + c) / z + 1
+    return 0.5 * (_guarded_sqrt(disc) + (1 - c) / z - 1)
+
+
+def _stieltjes_deriv(c: float, z: float) -> float:
+    disc = c * c + 2 * c * (z - 1) + (z + 1) ** 2
+    root = _guarded_sqrt(disc)
+    return 0.5 * ((-c * c - c * (z - 2) - z - 1) / (z * z * root) - (1 - c) / (z * z))
+
+
 def stieltjes(c: float, z: float) -> float:
     """Limit of the normalized resolvent trace at aspect ratio c.
 
@@ -160,33 +171,28 @@ def stieltjes(c: float, z: float) -> float:
     Raises :class:`SnrOutOfRange` where z^2 underflows (above ~1538 dB).
     """
     _check_transform_args(c, z)
-    disc = (1 - c) ** 2 / z**2 + 2 * (1 + c) / z + 1
-    return 0.5 * (_guarded_sqrt(disc) + (1 - c) / z - 1)
+    return _stieltjes(c, z)
 
 
 def stieltjes_deriv(c: float, z: float) -> float:
     """Derivative of :func:`stieltjes` with respect to z (closed form), on the same domain."""
     _check_transform_args(c, z)
-    disc = c * c + 2 * c * (z - 1) + (z + 1) ** 2
-    root = _guarded_sqrt(disc)
-    return 0.5 * ((-c * c - c * (z - 2) - z - 1) / (z * z * root) - (1 - c) / (z * z))
+    return _stieltjes_deriv(c, z)
 
 
-def rzf_deterministics(c: float, p_t: float) -> RzfDeterministics:
-    """Asymptotic SINR/power constants for RZF at stream ratio c.
+def _rzf_constants(c: float, p_t: float) -> tuple[float, float, float, float]:
+    """(a, ds, b, p_sq) of :class:`RzfDeterministics` at p_t > 0, as plain floats.
 
-    Evaluates the power factor two independent ways (via the transform
-    derivative and via the direct algebraic form) and insists they agree;
-    a disagreement or a nonpositive trace limit signals numerical
-    breakdown rather than a valid operating point.
+    Checks the transform arguments (c, 1/p_t) once.  Evaluates the power
+    factor two independent ways (via the transform derivative and via the
+    direct algebraic form) and insists they agree; a disagreement or a
+    nonpositive trace limit signals numerical breakdown rather than a
+    valid operating point, and raises :class:`NonPositiveB`.
     """
-    if p_t <= 0:
-        raise ValueError(f"p_t={p_t} must be positive")
-    if c > 1:
-        warnings.warn(f"RZF asymptotics requested at c={c} > 1; the theory targets c in (0, 1]", stacklevel=2)
     z = 1.0 / p_t
-    a = stieltjes(c, z)
-    ds = stieltjes_deriv(c, z)
+    _check_transform_args(c, z)
+    a = _stieltjes(c, z)
+    ds = _stieltjes_deriv(c, z)
     b = a + ds / p_t
     if b <= 0:
         raise NonPositiveB(f"power trace limit b={b} <= 0 at c={c}, p_t={p_t}")
@@ -202,6 +208,27 @@ def rzf_deterministics(c: float, p_t: float) -> RzfDeterministics:
         raise NonPositiveB(
             f"power factor evaluation paths disagree: {p_sq} vs {p_sq_direct} at c={c}, p_t={p_t}"
         )
+    return a, ds, b, p_sq
+
+
+def _warn_if_c_above_one(c: float) -> None:
+    if c > 1:
+        # stacklevel 3 names the caller of rzf_deterministics, or rzf_rate's line
+        warnings.warn(f"RZF asymptotics requested at c={c} > 1; the theory targets c in (0, 1]", stacklevel=3)
+
+
+def rzf_deterministics(c: float, p_t: float) -> RzfDeterministics:
+    """Asymptotic SINR/power constants for RZF at stream ratio c.
+
+    Requires p_t > 0 and warns at c > 1.  The constants come from the same
+    plain-float core that :func:`rzf_rate` and the RZF optimizer use, with
+    its two-path agreement gate: :class:`NonPositiveB` signals numerical
+    breakdown rather than a valid operating point.
+    """
+    if p_t <= 0:
+        raise ValueError(f"p_t={p_t} must be positive")
+    _warn_if_c_above_one(c)
+    a, ds, b, p_sq = _rzf_constants(c, p_t)
     return RzfDeterministics(a=a, s=a, ds=ds, b=b, p_sq=p_sq)
 
 
@@ -265,13 +292,25 @@ def zf_rate(inputs: RateInputs) -> float:
     return inputs.c * inputs.L * inputs.G * math.log1p(snr)
 
 
-def rzf_rate(inputs: RateInputs) -> float:
-    """Asymptotic RZF average sum rate in nats per channel use."""
-    if inputs.p_t == 0:
+def _rzf_sum_rate(G: int, L: int, c: float, p_t: float) -> float:
+    """:func:`rzf_rate` on plain, already validated operating-point values; 0 at p_t = 0."""
+    if p_t == 0:
         return 0.0
-    det = rzf_deterministics(inputs.c, inputs.p_t)
-    sinr = (det.a**2 * det.p_sq / inputs.G) / ((1.0 + det.a) ** 2 + inputs.p_t / inputs.G)
-    return inputs.c * inputs.G * inputs.L * math.log1p(sinr)
+    _warn_if_c_above_one(c)
+    a, _, _, p_sq = _rzf_constants(c, p_t)
+    sinr = (a**2 * p_sq / G) / ((1.0 + a) ** 2 + p_t / G)
+    return c * G * L * math.log1p(sinr)
+
+
+def rzf_rate(inputs: RateInputs) -> float:
+    """Asymptotic RZF average sum rate in nats per channel use.
+
+    c * G * L * ln(1 + (a^2 p_sq / G) / ((1 + a)^2 + p_t / G)) with the
+    constants of :func:`rzf_deterministics`; 0 at p_t = 0, and the same
+    warning at c > 1.  The RZF optimizer evaluates this expression, through
+    the same private core, without building a :class:`RateInputs` per point.
+    """
+    return _rzf_sum_rate(inputs.G, inputs.L, inputs.c, inputs.p_t)
 
 
 _RATE_FNS = {"MF": mf_rate, "ZF": zf_rate, "RZF": rzf_rate}

@@ -119,8 +119,9 @@ _RESAMPLE_CAP = 8  # redraws allowed within one trial
 _SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to need a redraw
 # Least per-trial inverse work (matrices inverted per draw x Q^3) run on threads.  On 2 vCPUs, over three
 # tools/thread_gate.py runs (one in BENCH_16.json), serial/threaded read 0.73-0.90 at 10 x 16^3 (a 1-SNR
-# MF, ZF and RZF ensemble), 1.09-1.29 at 15 x 16^3, 1.36-1.48 at 30 x 16^3 (5 SNRs) and 1.5-2.2 from 5 x 32^3.
-_THREAD_MIN_WORK = 2**16
+# MF, ZF and RZF ensemble), 1.09-1.29 at 15 x 16^3 (2 SNRs), 1.36-1.48 at 30 x 16^3 (5 SNRs) and 1.5-2.2
+# from 5 x 32^3; the threshold sits between the 1- and 2-SNR ensembles.
+_THREAD_MIN_WORK = 3 * 2**14
 
 
 def seeded_map(draw, kernels, trials: int, seed: RngSeed, work: float = 0) -> list[list]:

@@ -159,13 +159,13 @@ def _require(spec: ExperimentSpec, *names: str) -> None:
 
 # (field, lower bound, whether the bound itself is excluded)
 _LOWER_BOUNDS = (("zeta", 0, False), ("beta", 0, False), ("tc", 0, True), ("wc", 0, True), ("L", 1, False),
-                 ("trials", 1, False), ("seed", 0, False))
+                 ("G", 1, False), ("trials", 1, False), ("seed", 0, False))
 
 
 def _check_domain(spec: ExperimentSpec) -> None:
     """Reject non-finite float fields, a negative --zeta or --beta, a --tc or --wc
-    that is not positive or whose product underflows, an antenna count or --trials
-    below one, and a --seed outside [0, 2**64)."""
+    that is not positive or whose product underflows, an antenna count, group
+    count or --trials below one, and a --seed outside [0, 2**64)."""
     bad = [n for n in _FLOAT_FIELDS if getattr(spec, n) is not None and not math.isfinite(getattr(spec, n))]
     if bad:
         raise SpecError(f"{', '.join('--' + n.replace('_', '-') for n in bad)} must be finite")
@@ -180,7 +180,10 @@ def _check_domain(spec: ExperimentSpec) -> None:
 
 
 def _p_t(spec: ExperimentSpec) -> float:
-    return 10.0 ** (spec.snr_db / 10.0)
+    try:
+        return 10.0 ** (spec.snr_db / 10.0)
+    except OverflowError:
+        raise SpecError(f"--snr-db {spec.snr_db} overflows the linear power 10**(snr_db/10)") from None
 
 
 def _csi_model(spec: ExperimentSpec, G: int, L: int) -> CsiCostModel:
@@ -189,9 +192,15 @@ def _csi_model(spec: ExperimentSpec, G: int, L: int) -> CsiCostModel:
     An explicit --zeta overrides --beta/--tc/--wc: its model's coefficient
     is zeta at the cache-aided group count and zeta * G'/G at other G' (it
     is linear in the served group count).  Without CSI flags it is zero.
+    A positive --zeta whose coefficient per group and antenna underflows
+    below the smallest normal float is a :class:`SpecError`: it would
+    print a zeta that is not the typed one, 0.0 at 5e-324.
     """
     if spec.zeta is not None:
-        return CsiCostModel(beta_tot=spec.zeta / (G * L) if spec.zeta else 0.0, t_c=1.0, w_c=1.0)
+        beta_tot = spec.zeta / (G * L)
+        if spec.zeta and beta_tot < sys.float_info.min:
+            raise SpecError(f"--zeta {spec.zeta} is too small: zeta / (G L) = {beta_tot} underflows at G={G}, L={L}")
+        return CsiCostModel(beta_tot=beta_tot, t_c=1.0, w_c=1.0)
     if spec.beta is not None:
         _require(spec, "tc", "wc")
         return CsiCostModel(beta_tot=spec.beta, t_c=spec.tc, w_c=spec.wc)

@@ -21,6 +21,7 @@ from ccdl.analytic import (
     CsiOverheadExceedsBlock,
     RateInputs,
     ZeroDenominator,
+    _rzf_sum_rate,
     csi_zeta,
     data_share,
     raw_rate,
@@ -46,6 +47,10 @@ class NoRootInBracket(ArithmeticError):
 
 class EmptyFeasibleSet(ValueError):
     pass
+
+
+class SearchBreakdown(ArithmeticError):
+    """A root search met an unbounded interval or stalled short of its residual tolerance."""
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,8 @@ def _check_feasible(lo: float, hi: float) -> None:
 def _root(f, lo: float, hi: float) -> OptimizationResult:
     """First sign change of f on a 256-point log grid over [lo, hi], bisected to |f| <= 1e-10."""
     _check_feasible(lo, hi)
+    if not math.isfinite(hi):
+        raise SearchBreakdown(f"search interval [{lo:g}, {hi:g}] is unbounded")
     grid = np.geomspace(lo, hi, 256)
     a = float(grid[0])
     f_a = f(a)
@@ -137,7 +144,7 @@ def _root(f, lo: float, hi: float) -> OptimizationResult:
             a, f_a = mid, f_mid
         else:
             b = mid
-    raise ArithmeticError(f"bisection stalled at residual {abs(f_mid):g}")
+    raise SearchBreakdown(f"bisection stalled at residual {abs(f_mid):g}")
 
 
 def mf_opt_c(G: int, p_t: float, zeta: float) -> OptimizationResult:
@@ -222,22 +229,31 @@ def rzf_opt_c(G: int, L: int, p_t: float, model: CsiCostModel) -> OptimizationRe
     residual reported is the centered numeric derivative of the
     per-antenna effective rate at the optimum (not driven to zero by this
     method).
+
+    (G, L, p_t) are checked once, as a :class:`RateInputs`; each of the
+    about 1000 grid points and the refinement's points then evaluate
+    ``data_share(c, zeta) * rzf_rate`` on plain floats, through the same
+    core as :func:`ccdl.analytic.rzf_rate`, so c* and the residual are
+    those of the public rate bit for bit.  Infeasible points (c <= 0, or
+    overhead past the block) score -inf.
     """
     zeta = csi_zeta(model, G, L)
     hi = min(1.0, 1.0 / zeta) if zeta > 0 else 1.0
     _check_feasible(_C_MIN, hi)
+    RateInputs(G=G, L=L, c=hi, p_t=p_t)  # G and p_t, checked once for every point
 
     def objective(c: float) -> float:
+        if c <= 0:  # the COutOfRange of RateInputs
+            return -math.inf
         try:
-            inputs = RateInputs(G=G, L=L, c=c, p_t=p_t)
-            return data_share(c, zeta) * raw_rate("RZF", inputs)
-        except (COutOfRange, CsiOverheadExceedsBlock):
+            return data_share(c, zeta) * _rzf_sum_rate(G, L, c, p_t)
+        except CsiOverheadExceedsBlock:
             return -math.inf
 
     grid = np.arange(1e-3, hi, 1e-3)
     lo_ref, hi_ref = 0.0, hi  # (0, hi) is narrower than one grid step
     if grid.size:
-        best = int(np.argmax([objective(float(c)) for c in grid]))
+        best = int(np.argmax([objective(c) for c in grid.tolist()]))
         lo_ref = float(grid[max(best - 1, 0)])
         hi_ref = float(grid[min(best + 1, len(grid) - 1)])
     c_star = _golden_max(objective, lo_ref, hi_ref)

@@ -1,7 +1,10 @@
 """Closed-form rates, transforms, deterministic equivalents, CSI overhead."""
 
+import hashlib
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,15 +13,20 @@ from ccdl.analytic import (
     COutOfRange,
     CsiCostModel,
     CsiOverheadExceedsBlock,
+    NonPositiveB,
     RateInputs,
+    RzfDeterministics,
     SnrOutOfRange,
     ZeroDenominator,
+    _rzf_constants,
+    _rzf_sum_rate,
     csi_zeta,
     effective_gain,
     effective_rate,
     mf_cacheless,
     mf_rate,
     mf_rate_finite,
+    raw_rate,
     rzf_deterministics,
     rzf_rate,
     stieltjes,
@@ -177,6 +185,85 @@ class TestRzfRate:
         det = rzf_deterministics(0.25, 10.0)
         expected = 0.25 * 64 * math.log1p(det.a**2 * det.p_sq / ((1 + det.a) ** 2 + 10.0))
         assert rzf_rate(RateInputs.from_streams(1, 16, 64, 10.0)) == pytest.approx(expected, rel=1e-12)
+
+
+# The RZF optimizer's 1e-3 grid of stream ratios
+RZF_GRID = np.arange(1e-3, 1.0, 1e-3).tolist()
+
+
+def outcome(call):
+    """A call's value, or the class name and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestRzfCoreBits:
+    """The plain-float RZF core gives every bit, and every error, of the public RZF names."""
+
+    # sha256 of repr([outcome of raw_rate("RZF", RateInputs(6, 32, c, p_t)) for c in RZF_GRID]) per SNR in dB,
+    # computed by the scalar path of stieltjes, stieltjes_deriv and rzf_deterministics that the core replaces
+    GRID_DIGESTS = {
+        -80: "696b5e1cec1bf3f9", -60: "7f6606495f526521", -40: "9c7cdbdc8ce92be0", -20: "66c53dddbcb9ff1e",
+        0: "35bbd0294a632b70", 20: "c667b943eee1a7fa", 40: "a83a42441d936b10", 60: "78cb0473d9b5c469",
+        80: "f52d9ab36d23772f", 100: "c4af3f26b18c4996", 120: "b942a897156eaef7",
+    }
+
+    @pytest.mark.parametrize("snr_db", GRID_DIGESTS)
+    def test_grid_equals_public_path(self, snr_db):
+        p_t = 10.0 ** (snr_db / 10)
+        public = [outcome(lambda: raw_rate("RZF", RateInputs(G=6, L=32, c=c, p_t=p_t))) for c in RZF_GRID]
+        assert hashlib.sha256(repr(public).encode()).hexdigest()[:16] == self.GRID_DIGESTS[snr_db]
+        for c, rate in zip(RZF_GRID, public):
+            assert outcome(lambda: _rzf_sum_rate(6, 32, c, p_t)) == rate
+            assert outcome(lambda: rzf_rate(RateInputs(G=6, L=32, c=c, p_t=p_t))) == rate
+            core, det = outcome(lambda: _rzf_constants(c, p_t)), outcome(lambda: rzf_deterministics(c, p_t))
+            if isinstance(det, tuple):
+                assert core == det and det[0] == "NonPositiveB"
+                continue
+            a, ds, b, p_sq = core
+            assert det == RzfDeterministics(a=a, s=a, ds=ds, b=b, p_sq=p_sq)
+            assert (a, ds, b, p_sq) == (stieltjes(c, 1 / p_t), stieltjes_deriv(c, 1 / p_t), a + ds / p_t, p_t / b)
+
+    @pytest.mark.parametrize("snr_db, expected", [
+        (-100, RzfDeterministics(a=1.000000082740371e-10, s=1.000000082740371e-10, ds=-9.999999999500001e-21,
+                                 b=8.279037092875971e-18, p_sq=12078699.355755877)),
+        (-90, ("NonPositiveB", "power trace limit b=-2.7781931657896384e-17 <= 0 at c=0.25, p_t=1e-09")),
+        (150, RzfDeterministics(a=750000000000000.2, s=750000000000000.2, ds=-7.5e29, b=0.25, p_sq=4e15)),
+        (160, ("NonPositiveB", "power trace limit b=-2.0 <= 0 at c=0.25, p_t=1e+16")),
+    ])
+    def test_edges_keep_their_values_and_errors(self, snr_db, expected):
+        # b = a + ds / p_t is known to be wrong out here; these pin the scalar path's output, not the truth
+        assert outcome(lambda: rzf_deterministics(0.25, 10.0 ** (snr_db / 10))) == expected
+
+    @pytest.mark.parametrize("c, p_t, expected", [
+        (0.0, 10.0, ("NonPositiveB", "power factor evaluation paths disagree: 5629499534213120.0 vs inf at c=0.0, "
+                                     "p_t=10.0")),
+        (-1.0, 10.0, ("ValueError", "c=-1.0 must be nonnegative")),
+        (0.25, 0.0, ("ValueError", "p_t=0.0 must be positive")),
+        (0.25, -1.0, ("ValueError", "p_t=-1.0 must be positive")),
+    ])
+    def test_argument_errors_unchanged(self, c, p_t, expected):
+        assert outcome(lambda: rzf_deterministics(c, p_t)) == expected
+
+    def test_rate_edges(self):
+        assert outcome(lambda: rzf_rate(RateInputs(5, 64, 0.25, 10.0 ** -10))) == 1.9325922163025012e-12
+        assert outcome(lambda: rzf_rate(RateInputs(5, 64, 0.25, 10.0 ** 15))) == 2745.250627487718
+        with pytest.raises(NonPositiveB, match=r"^power trace limit b=-2.0 <= 0 at c=0.25, p_t=1e\+16$"):
+            rzf_rate(RateInputs(5, 64, 0.25, 1e16))
+        assert rzf_rate(RateInputs(5, 64, 1.5, 0.0)) == 0.0
+
+    def test_large_ratio_warning_names_the_caller(self):
+        message = "RZF asymptotics requested at c=1.5 > 1; the theory targets c in (0, 1]"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert rzf_rate(RateInputs(5, 64, 1.5, 10.0)) == 192.23950438792076
+            rzf_deterministics(1.5, 10.0)
+            rzf_rate(RateInputs(5, 64, 1.5, 0.0))
+        assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, message)] * 2
+        # rzf_rate's warning points into analytic, rzf_deterministics' at its caller
+        assert caught[0].filename.endswith("analytic.py") and caught[1].filename == __file__
 
 
 class TestCsiOverhead:

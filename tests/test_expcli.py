@@ -230,6 +230,24 @@ class TestErrors:
         assert (code, lines) == (1, [])
         assert err == f"error: SpecError: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("optimize", "--precoder", "rzf", "--G", "0", "--L", "10", "--snr-db", "16", "--zeta", "0.1"),
+         "SpecError: --G must be >= 1, got 0"),
+        (("simulate", "--precoder", "zf", "--G", "-2", "--L", "16", "--Q", "4", "--snr-db", "10", "--trials", "10"),
+         "SpecError: --G must be >= 1, got -2"),
+        (("sweep", "--mode", "optimize", "--precoder", "zf", "--L", "10", "--snr-db", "10", "--axis", "G",
+          "--start", "-1", "--stop", "1", "--step", "1"), "SpecError: --G must be >= 1, got -1"),
+        (("rate", "--precoder", "zf", "--G", "8", "--L", "10", "--Q", "1", "--snr-db", "1e300"),
+         "SpecError: --snr-db 1e+300 overflows the linear power 10**(snr_db/10)"),
+        (("optimize", "--precoder", "mf", "--G", "16", "--L", "16", "--snr-db", "160", "--beta", "5e-324",
+          "--tc", "2", "--wc", "8"), "SearchBreakdown: search interval [1e-09, inf] is unbounded"),
+        (("rate", "--precoder", "zf", "--G", "8", "--L", "10", "--Q", "1", "--snr-db", "10", "--zeta", "5e-324"),
+         "SpecError: --zeta 5e-324 is too small: zeta / (G L) = 0.0 underflows at G=8, L=10"),
+    ], ids=["G=0", "simulate-G=-2", "sweep-G-axis", "snr-overflow", "mf-unbounded-interval", "zeta-underflow"])
+    def test_builtin_failures_are_typed(self, capsys, argv, message):
+        # each once failed with a builtin ZeroDivisionError, OverflowError or ArithmeticError, or printed zeta = 0.0
+        assert run_cli(capsys, *argv) == (1, [], f"error: {message}\n")
+
     def test_underflowing_coherence_block_names_both_flags(self, capsys):
         code, lines, err = run_cli(capsys, "rate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16",
                                    "--snr-db", "10", "--beta", "10", "--tc", "1e-300", "--wc", "1e-300")

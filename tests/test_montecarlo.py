@@ -157,8 +157,9 @@ class TestEstimateSumRates:
         assert estimate_sum_rates(configs) == alone
         assert estimate_sum_rates(configs[::-1]) == alone[::-1]
 
-    @pytest.mark.parametrize("snrs, rows, threaded", [((10.0,), 2, False), ((0.0, 5.0, 10.0, 15.0, 20.0), 6, True)],
-                             ids=["one-snr", "five-snrs"])
+    @pytest.mark.parametrize("snrs, rows, threaded", [((10.0,), 2, False), ((5.0, 10.0), 3, True),
+                                                      ((0.0, 5.0, 10.0, 15.0, 20.0), 6, True)],
+                             ids=["one-snr", "two-snrs", "five-snrs"])
     def test_thread_gate_counts_inverted_matrices(self, monkeypatch, snrs, rows, threaded):
         # mc-hardening's ensemble: ZF's row and one RZF row per SNR, G = 5 matrices each, at Q = 16
         passes, seeded_map = [], montecarlo.seeded_map

@@ -8,13 +8,24 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccdl.analytic import CsiCostModel, RateInputs, effective_rate
+from ccdl.analytic import (
+    COutOfRange,
+    CsiCostModel,
+    CsiOverheadExceedsBlock,
+    RateInputs,
+    csi_zeta,
+    data_share,
+    effective_rate,
+    raw_rate,
+)
 from ccdl.optimizer import (
     DomainError,
     EmptyFeasibleSet,
     GainReport,
     NoRootInBracket,
+    SearchBreakdown,
     UnboundedObjective,
+    _golden_max,
     _root,
     integer_q,
     lambert_w0,
@@ -171,6 +182,70 @@ class TestRzfOptC:
         assert abs(rzf - zf) < 0.02
 
 
+def reference_rzf_opt_c(G, L, p_t, model):
+    """rzf_opt_c's grid and golden-section search over data_share * raw_rate(RateInputs(...)), the public path."""
+    zeta = csi_zeta(model, G, L)
+    hi = min(1.0, 1.0 / zeta) if zeta > 0 else 1.0
+
+    def objective(c):
+        try:
+            return data_share(c, zeta) * raw_rate("RZF", RateInputs(G=G, L=L, c=c, p_t=p_t))
+        except (COutOfRange, CsiOverheadExceedsBlock):
+            return -math.inf
+
+    grid = np.arange(1e-3, hi, 1e-3)
+    lo_ref, hi_ref = 0.0, hi
+    if grid.size:
+        best = int(np.argmax([objective(float(c)) for c in grid]))
+        lo_ref, hi_ref = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, len(grid) - 1)])
+    c_star = _golden_max(objective, lo_ref, hi_ref)
+    return c_star, abs(objective(c_star + 1e-7) - objective(c_star - 1e-7)) / (2e-7 * G * L)
+
+
+def search_outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestRzfOptCBits:
+    """rzf_opt_c's c* and residual are those of its search over the public rate, bit for bit."""
+
+    @pytest.mark.parametrize("G, L, csi", [(6, 32, (10.0, 0.04, 300e3)), (1, 64, (10.0, 0.04, 300e3)),
+                                           (5, 64, (5.0 * 12000 / (5 * 64), 0.04, 300e3))],
+                             ids=["fig2-cached", "fig2-cacheless", "binding-overhead"])
+    def test_matches_public_path_from_minus_80_to_120_db(self, G, L, csi):
+        model = CsiCostModel(*csi)
+        for snr_db in range(-80, 121, 10):
+            p_t = 10.0 ** (snr_db / 10)
+            res = search_outcome(lambda: rzf_opt_c(G, L, p_t, model))
+            expected = search_outcome(lambda: reference_rzf_opt_c(G, L, p_t, model))
+            assert (res if isinstance(res, tuple) else (res.c_star, res.residual)) == expected, snr_db
+
+    @pytest.mark.parametrize("G, p_t, csi, expected", [
+        (5, 1e-10, CSI, ("NonPositiveB", "power trace limit b=-1.027482253643124e-16 <= 0 at c=0.002, p_t=1e-10")),
+        (5, 1e-9, CSI, ("NonPositiveB", "power trace limit b=-2.827993160978087e-17 <= 0 at c=0.001, p_t=1e-09")),
+        (5, 1e15, CSI, ("NonPositiveB", "power factor evaluation paths disagree: 8000000000000000.0 vs inf at "
+                                        "c=0.001, p_t=1000000000000000.0")),
+        (5, 1e16, CSI, ("NonPositiveB", "power trace limit b=-2.0 <= 0 at c=0.001, p_t=1e+16")),
+        (5, 0.0, CSI, (0.0010003665687179286, 0.0)),
+        (5, -1.0, CSI, ("ValueError", "p_t=-1.0 must be nonnegative")),
+        (0, 10.0, CSI, ("ValueError", "G=0 must be >= 1")),
+        (0, 10.0, CsiCostModel(0.0, 1.0, 1.0), ("ValueError", "G=0 must be >= 1")),
+        # c* - 1e-7 <= 0 and c* + 1e-7 past the block: both score -inf
+        (5, 10.0, CsiCostModel(1e8 / (5 * 64), 1.0, 1.0), (5e-09, math.nan)),
+        (5, 10.0, CsiCostModel(1500 / (5 * 64), 1.0, 1.0), (0.0003130823037528391, 0.0008938780791944989)),
+        (5, 10.0, CsiCostModel(1e300, 1.0, 1.0),
+         ("EmptyFeasibleSet", "no feasible stream ratio in [1e-09, 3.125e-303]")),
+    ], ids=["-100dB", "-90dB", "150dB", "160dB", "zero-power", "negative-power", "G=0", "G=0-free-csi",
+            "c-star-below-h", "below-one-grid-step", "empty"])
+    def test_edges(self, G, p_t, csi, expected):
+        res = search_outcome(lambda: rzf_opt_c(G, 64, p_t, csi))
+        got = res if isinstance(res, tuple) else (res.c_star, res.residual)
+        assert repr(got) == repr(expected)
+
+
 class TestIntegerQ:
     def test_picks_better_candidate(self):
         zeta = 0.16
@@ -269,6 +344,16 @@ class TestRoot:
     def test_no_sign_change(self):
         with pytest.raises(NoRootInBracket, match=r"in \[0.1, 10\]"):
             _root(lambda c: 1.0 + c, 0.1, 10.0)
+
+    def test_unbounded_interval_is_a_typed_error(self):
+        # MF's interval ends at 1 / (2 zeta), which overflows once zeta is subnormal
+        with pytest.raises(SearchBreakdown, match=r"^search interval \[1e-09, inf\] is unbounded$"):
+            mf_opt_c(16, 1e16, 8e-323)
+
+    def test_stalled_bisection_is_a_typed_error(self):
+        # a sign change with no root: the residual stays 1 at the jump
+        with pytest.raises(SearchBreakdown, match=r"^bisection stalled at residual 1$"):
+            _root(lambda c: 1.0 if c < 0.3 else -1.0, 0.1, 10.0)
 
     def test_exact_zero_on_the_scan_is_returned(self):
         knot = float(np.geomspace(0.1, 10.0, 256)[100])

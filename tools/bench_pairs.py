@@ -16,13 +16,19 @@ brings no rows.  It also counts ``wishart_gram`` calls per CLI call of
 each workload, optionally times each tree's Tier-1 suite and, over
 alternating pairs, acceptance
 criterion 3 alone, optionally records the change tree's
-``tools/thread_gate.py`` table, and records provenance from
-``perfbench/provenance.collect``.  Runs are sequential: one process at a time.
+``tools/thread_gate.py`` table, optionally makes one ``--trace 1`` run per
+tree of each ``--traced`` workload (its per-layer metrics, and the count and
+summed milliseconds of each span name per traced call), and records
+provenance from ``perfbench/provenance.collect``.  Runs are sequential: one
+process at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import csv
+import gzip
 import json
 import os
 import resource
@@ -68,6 +74,25 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {"seed": seed, "failed": result["failed"], "attempted": result["attempted"], **metrics,
             "child_cpu_s": cpu_s, "child_cpu_s_per_row": cpu_s / (metrics["rows_per_s"] * seconds)}
+
+
+def traced_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One traced run's per-layer metrics, and each span name's count and summed milliseconds per traced call."""
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", "1"], cwd=tree, capture_output=True, text=True,
+                          check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    stem = tree / ".perfbench-out" / f"{workload}-seed{seed}-trace1"
+    calls = json.loads(stem.with_suffix(".json").read_text())["detail"]["traced_calls"]
+    spans = collections.defaultdict(lambda: [0, 0.0])
+    with gzip.open(f"{stem}-spans.tsv.gz", "rt") as fh:
+        for span in csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE):
+            spans[span["name"]][0] += 1
+            spans[span["name"]][1] += float(span["end"]) - float(span["start"])
+    return {"seed": seed, "failed": result["failed"], "traced_calls": calls,
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "spans_per_call": {name: {"count": n / calls, "ms": 1e3 * total / calls}
+                               for name, (n, total) in sorted(spans.items())}}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -118,6 +143,8 @@ def main(argv=None) -> int:
     parser.add_argument("--criterion3", type=int, nargs="?", const=3, default=0, metavar="PAIRS",
                         help="also time acceptance criterion 3 alone over PAIRS alternating pairs (default 3)")
     parser.add_argument("--thread-gate", action="store_true", help="also record the change tree's thread-gate table")
+    parser.add_argument("--traced", nargs="*", default=[], metavar="WORKLOAD",
+                        help="also make one traced run per tree of each named workload")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -147,6 +174,9 @@ def main(argv=None) -> int:
         "wishart_gram_calls_per_call": draws,
         "runs": runs,
     }
+    if args.traced:
+        result["traced"] = {w: {side: traced_once(tree, w, args.seed, args.seconds) for side, tree in trees.items()}
+                            for w in args.traced}
     if args.tier1:
         result["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     if args.criterion3:

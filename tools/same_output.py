@@ -11,7 +11,7 @@ report gives one line per command: whether stdout, stderr and the exit
 status are byte-identical, followed by the first differing lines of any
 stream that differs.  The exit status is 0 when every command matched.
 
-The list of 30 commands covers ``simulate`` and ``sweep --mode simulate``
+The list of 37 commands covers ``simulate`` and ``sweep --mode simulate``
 (MF, ZF, RZF; the trials=0 error; Q > L for MF; the ZF error at Q = L; a
 threaded Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits
 over 5 trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
@@ -21,7 +21,9 @@ triple, an optimize sweep over -10...40 dB at ``--zeta 0.05`` and at
 ``--zeta 0`` (where MF fails with ``UnboundedObjective``), ``optimize`` at
 feasible intervals that are empty (``--L 64`` at ``--zeta 2000`` for RZF,
 ``1e300`` for ZF and MF) or narrower than RZF's grid step (``--L 2048 --zeta
-1500``), ``power_factor(mode="montecarlo")`` for every precoder, the sha256
+1500``), the RZF ``rate`` at 120, 130, 140 and 150 dB (rows whose b is known
+to be low) and its ``NonPositiveB`` errors at -90 and 160 dB, an RZF ``gain``
+at a ``fig3-L64`` point, ``power_factor(mode="montecarlo")`` for every precoder, the sha256
 digests of ``build_precoder`` (ZF, RZF) and of ``gram_powers``' signal and
 interference powers (MF, ZF, RZF, stacked alphas) on fixed seeded draws,
 the ZF accept/reject decisions of ``build_precoder`` and ``stage_sinrs`` on
@@ -46,6 +48,7 @@ _ZETA = ["--zeta", "0.07", "--G", "7", "--L", "100", "--Q", "8", "--snr-db", "10
 _OPT_SWEEP = [*_CLI, "sweep", "--mode", "optimize", "--precoder", "all", "--G", "5", "--L", "64",
               "--axis", "snr_db", "--start", "-10", "--stop", "40", "--step", "5"]
 _OPT = [*_CLI, "optimize", "--G", "5", "--snr-db", "10"]
+_RZF_RATE = [*_CLI, "rate", "--precoder", "rzf", "--G", "5", "--L", "64", "--Q", "16"]
 
 _POWER_FACTORS = """
 from ccdl.channel import RngSeed
@@ -129,6 +132,10 @@ COMMANDS = [
     *[(f"optimize sweep zeta {zeta}", [*_OPT_SWEEP, "--zeta", zeta], None) for zeta in ("0.05", "0")],
     *[(f"optimize {p} L={L} zeta {zeta}", [*_OPT, "--precoder", p, "--L", L, "--zeta", zeta], None)
       for p, L, zeta in (("rzf", "64", "2000"), ("zf", "64", "1e300"), ("mf", "64", "1e300"), ("all", "2048", "1500"))],
+    *[(f"rate rzf {snr_db} dB", [*_RZF_RATE, "--snr-db", snr_db], None)
+      for snr_db in ("120", "130", "140", "150", "-90", "160")],
+    ("gain rzf fig3-L64 12 dB", [*_CLI, "gain", "--precoder", "rzf", "--G", "6", "--L", "64", "--Q", "8",
+                                 "--snr-db", "12", "--beta", "10", "--tc", "0.04", "--wc", "300e3"], None),
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
     ("precoder bits", ["-c", _PRECODER_BITS], None),
     ("ZF rank decisions", ["-c", _RANK_DECISIONS], None),
