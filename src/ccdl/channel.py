@@ -117,10 +117,10 @@ def wishart_gram(gen: np.random.Generator, G: int, Q: int, L: int) -> np.ndarray
 
 _RESAMPLE_CAP = 8  # redraws allowed within one trial
 _SINGULAR_BUDGET = 1e-3  # fraction of trials allowed to need a redraw
-# Least per-trial inverse work (matrices inverted per draw x Q^3) run on threads.  On 2 vCPUs, over three
-# tools/thread_gate.py runs (one in BENCH_16.json), serial/threaded read 0.73-0.90 at 10 x 16^3 (a 1-SNR
-# MF, ZF and RZF ensemble), 1.09-1.29 at 15 x 16^3 (2 SNRs), 1.36-1.48 at 30 x 16^3 (5 SNRs) and 1.5-2.2
-# from 5 x 32^3; the threshold sits between the 1- and 2-SNR ensembles.
+# Least per-trial inverse work (matrices inverted per draw x Q^3) run on threads.  On 2 vCPUs, over five
+# tools/thread_gate.py runs (BENCH_16.json and BENCH_17.json hold one each), serial/threaded read 0.73-1.03
+# at 10 x 16^3 (a 1-SNR MF, ZF and RZF ensemble), 1.09-1.44 at 15 x 16^3 (2 SNRs), 1.35-1.59 at 30 x 16^3
+# (5 SNRs) and 1.47-2.2 from 5 x 32^3; the threshold sits between the 1- and 2-SNR ensembles.
 _THREAD_MIN_WORK = 3 * 2**14
 
 
