@@ -45,7 +45,7 @@ class ZeroDenominator(ZeroDivisionError):
 
 
 class SnrOutOfRange(ValueError):
-    """An SNR too large for a closed form that divides by z^2, z = 1/p_t, in doubles."""
+    """An SNR too large or too small for a closed form built on z^2, z = 1/p_t, in doubles."""
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,11 @@ def _check_transform_args(c: float, z: float) -> None:
         raise ValueError(f"z={z} must be positive")
     if c < 0:
         raise ValueError(f"c={c} must be nonnegative")
-    if z * z < sys.float_info.min:
+    z_sq = z * z
+    if z_sq < sys.float_info.min:
         raise SnrOutOfRange(f"snr_db={-10.0 * math.log10(z):g} is out of range: z^2 = 1/p_t^2 underflows")
+    if z_sq > sys.float_info.max:
+        raise SnrOutOfRange(f"snr_db={-10.0 * math.log10(z):g} is out of range: z^2 = 1/p_t^2 overflows")
 
 
 def _stieltjes(c: float, z: float) -> float:
@@ -168,7 +171,8 @@ def stieltjes(c: float, z: float) -> float:
 
     S_c(z) = 1/2 * (sqrt((1-c)^2/z^2 + 2(1+c)/z + 1) + (1-c)/z - 1)
     for z > 0, c >= 0.  S_0(z) = 1/z (resolvent of the zero matrix).
-    Raises :class:`SnrOutOfRange` where z^2 underflows (above ~1538 dB).
+    Raises :class:`SnrOutOfRange` where z^2 underflows (above ~1538 dB) or
+    overflows (below ~-1541 dB).
     """
     _check_transform_args(c, z)
     return _stieltjes(c, z)
@@ -298,6 +302,11 @@ def _rzf_sum_rate(G: int, L: int, c: float, p_t: float) -> float:
         return 0.0
     _warn_if_c_above_one(c)
     a, _, _, p_sq = _rzf_constants(c, p_t)
+    return _rzf_score(G, L, c, p_t, a, p_sq)
+
+
+def _rzf_score(G: int, L: int, c: float, p_t: float, a: float, p_sq: float) -> float:
+    """:func:`rzf_rate`'s SINR and ``log1p`` expression on the constants a, p_sq of (c, p_t > 0)."""
     sinr = (a**2 * p_sq / G) / ((1.0 + a) ** 2 + p_t / G)
     return c * G * L * math.log1p(sinr)
 

@@ -10,6 +10,7 @@ one inverse R = (W + alpha I)^-1, so they make one rank decision per draw.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,19 +165,33 @@ def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None):
     A singular W + alpha I raises :class:`RankDeficient`, and so does the
     ZF rank rule: an R that is not finite or an M more than 1e-6 from I.
     """
-    alpha = kind.alpha if alphas is None else np.reshape(alphas, (-1,) + (1,) * W.ndim)
+    alpha = kind.alpha if alphas is None else tuple(alphas)
     if kind.name == "ZF":
         alpha = 0.0
     elif alpha is None:
         raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
     try:
-        R = np.linalg.inv(W + alpha * np.eye(W.shape[-1]))
+        R = np.linalg.inv(W + _shift(alpha, W.shape[-1], W.ndim, W.dtype))
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"singular Gram matrix in {kind.name} precoder") from exc
     M = W @ R
     if kind.name == "ZF":
         _zf_rank_rule(R, M)
     return R, M
+
+
+@functools.lru_cache(maxsize=32)
+def _shift(alpha, Q: int, ndim: int, dtype) -> np.ndarray:
+    """alpha I in the type of W + alpha I, for Gram stacks W of ``dtype`` with ``ndim`` axes; cached, read-only.
+
+    A tuple ``alpha`` stacks one alpha I per entry on a new leading axis.
+    W plus this array is W + alpha I bit for bit, without casting a float
+    alpha I to W's complex type on every draw.
+    """
+    scale = np.reshape(alpha, (-1,) + (1,) * ndim) if isinstance(alpha, tuple) else alpha
+    shift = (scale * np.eye(Q)).astype(np.result_type(dtype, np.float64))
+    shift.flags.writeable = False
+    return shift
 
 
 def _zf_rank_rule(R: np.ndarray, M: np.ndarray) -> None:

@@ -140,6 +140,18 @@ class TestStieltjes:
                 fn(0.25, z)
         assert issubclass(SnrOutOfRange, ValueError)
 
+    @pytest.mark.parametrize("z", [1.5e154, 1e200, 1e308, math.inf])
+    def test_z_squared_overflow_is_a_typed_domain_error(self, z):
+        # finite z once failed with the builtin OverflowError of z**2
+        for fn in (stieltjes, stieltjes_deriv):
+            with pytest.raises(SnrOutOfRange, match=r"snr_db=-\S+ is out of range: z\^2 = 1/p_t\^2 overflows"):
+                fn(0.25, z)
+
+    def test_z_just_below_the_overflow_keeps_its_values(self):
+        # the values the transforms gave before the overflow guard (S cancels to 0 out here)
+        assert stieltjes(0.25, 1.3e154) == 0.0
+        assert stieltjes_deriv(0.25, 1.3e154) == -2.2189349112426e-309
+
 
 class TestRzfDeterministics:
     def test_reference_point(self):
@@ -253,6 +265,16 @@ class TestRzfCoreBits:
         with pytest.raises(NonPositiveB, match=r"^power trace limit b=-2.0 <= 0 at c=0.25, p_t=1e\+16$"):
             rzf_rate(RateInputs(5, 64, 0.25, 1e16))
         assert rzf_rate(RateInputs(5, 64, 1.5, 0.0)) == 0.0
+
+    @pytest.mark.parametrize("snr_db, expected", [
+        (-1535, ("NonPositiveB", "power trace limit b=-1.1858541225631422e-154 <= 0 at c=0.25, "
+                                 "p_t=3.1622776601683795e-154")),
+        (-1545, ("SnrOutOfRange", "snr_db=-1545 is out of range: z^2 = 1/p_t^2 overflows")),
+    ])
+    def test_rate_below_minus_1541_db_is_out_of_range(self, snr_db, expected):
+        p_t = 10.0 ** (snr_db / 10)
+        assert outcome(lambda: rzf_rate(RateInputs(5, 64, 0.25, p_t))) == expected
+        assert outcome(lambda: rzf_deterministics(0.25, p_t)) == expected
 
     def test_large_ratio_warning_names_the_caller(self):
         message = "RZF asymptotics requested at c=1.5 > 1; the theory targets c in (0, 1]"

@@ -243,10 +243,47 @@ class TestErrors:
           "--tc", "2", "--wc", "8"), "SearchBreakdown: search interval [1e-09, inf] is unbounded"),
         (("rate", "--precoder", "zf", "--G", "8", "--L", "10", "--Q", "1", "--snr-db", "10", "--zeta", "5e-324"),
          "SpecError: --zeta 5e-324 is too small: zeta / (G L) = 0.0 underflows at G=8, L=10"),
-    ], ids=["G=0", "simulate-G=-2", "sweep-G-axis", "snr-overflow", "mf-unbounded-interval", "zeta-underflow"])
+        (("rate", "--precoder", "rzf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db", "-1545"),
+         "SnrOutOfRange: snr_db=-1545 is out of range: z^2 = 1/p_t^2 overflows"),
+        (("gain", "--precoder", "rzf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db", "-1545"),
+         "SnrOutOfRange: snr_db=-1545 is out of range: z^2 = 1/p_t^2 overflows"),
+        (("optimize", "--precoder", "rzf", "--G", "5", "--L", "64", "--snr-db", "-1545", "--zeta", "0.1"),
+         "SnrOutOfRange: snr_db=-1545 is out of range: z^2 = 1/p_t^2 overflows"),
+    ], ids=["G=0", "simulate-G=-2", "sweep-G-axis", "snr-overflow", "mf-unbounded-interval", "zeta-underflow",
+            "rzf-rate-z-squared-overflow", "rzf-gain-z-squared-overflow", "rzf-optimize-z-squared-overflow"])
     def test_builtin_failures_are_typed(self, capsys, argv, message):
         # each once failed with a builtin ZeroDivisionError, OverflowError or ArithmeticError, or printed zeta = 0.0
         assert run_cli(capsys, *argv) == (1, [], f"error: {message}\n")
+
+    def test_rzf_just_above_the_z_squared_overflow_keeps_its_error(self, capsys):
+        code, lines, err = run_cli(capsys, "rate", "--precoder", "rzf", "--G", "5", "--L", "64", "--Q", "16",
+                                   "--snr-db", "-1535")
+        assert (code, lines) == (1, [])
+        assert err == ("error: NonPositiveB: power trace limit b=-1.1858541225631422e-154 <= 0 at c=0.25, "
+                       "p_t=3.1622776601683795e-154\n")
+
+    def test_rzf_simulation_below_the_z_squared_overflow_still_runs(self, capsys):
+        # Monte Carlo RZF takes rho^2 from the trace, not from the closed-form transforms
+        code, lines, err = run_cli(capsys, "simulate", "--precoder", "rzf", "--G", "5", "--L", "64", "--Q", "16",
+                                   "--snr-db", "-1545", "--trials", "100")
+        assert (code, err) == (0, "")
+        assert lines[1] == ("rzf,64,16,5,-1545.0,0.0,0.25,2.0511357802854804e-153,2.959163418407777e-153,"
+                            "2.0511357802854804e-153,monte_carlo(100;0),100,0,,,")
+
+    @pytest.mark.parametrize("command", [("simulate", "--Q", "1600"),
+                                         ("sweep", "--mode", "simulate", "--axis", "Q", "--start", "1",
+                                          "--stop", "1600", "--step", "1599")])
+    def test_gram_stack_over_the_cap_fails_before_any_draw(self, capsys, monkeypatch, command):
+        def never(*args):
+            raise AssertionError("wishart_gram called past the input-size cap")
+
+        # never run unpatched: one trial would ask for a 6.6 GB (160, 1600, 1600) complex stack
+        monkeypatch.setattr(montecarlo, "wishart_gram", never)
+        code, lines, err = run_cli(capsys, *command, "--precoder", "mf", "--G", "160", "--L", "64",
+                                   "--snr-db", "10", "--trials", "1")
+        assert (code, lines) == (1, [])
+        assert err == ("error: SpecError: --G 160 --Q 1600: one trial's Gram matrices take 6553600000 bytes, "
+                       "over the cap of 1073741824\n")
 
     def test_underflowing_coherence_block_names_both_flags(self, capsys):
         code, lines, err = run_cli(capsys, "rate", "--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16",

@@ -8,11 +8,13 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccdl import analytic, optimizer
 from ccdl.analytic import (
     COutOfRange,
     CsiCostModel,
     CsiOverheadExceedsBlock,
     RateInputs,
+    ZeroDenominator,
     csi_zeta,
     data_share,
     effective_rate,
@@ -209,6 +211,27 @@ def search_outcome(call):
         return type(exc).__name__, str(exc)
 
 
+# rzf_opt_c(G, 64, p_t, csi) at the edges of its domain: its (c*, residual), or what it raises
+RZF_EDGES = [
+    (5, 1e-10, CSI, ("NonPositiveB", "power trace limit b=-1.027482253643124e-16 <= 0 at c=0.002, p_t=1e-10")),
+    (5, 1e-9, CSI, ("NonPositiveB", "power trace limit b=-2.827993160978087e-17 <= 0 at c=0.001, p_t=1e-09")),
+    (5, 1e15, CSI, ("NonPositiveB", "power factor evaluation paths disagree: 8000000000000000.0 vs inf at "
+                                    "c=0.001, p_t=1000000000000000.0")),
+    (5, 1e16, CSI, ("NonPositiveB", "power trace limit b=-2.0 <= 0 at c=0.001, p_t=1e+16")),
+    (5, 0.0, CSI, (0.0010003665687179286, 0.0)),
+    (5, -1.0, CSI, ("ValueError", "p_t=-1.0 must be nonnegative")),
+    (0, 10.0, CSI, ("ValueError", "G=0 must be >= 1")),
+    (0, 10.0, CsiCostModel(0.0, 1.0, 1.0), ("ValueError", "G=0 must be >= 1")),
+    # c* - 1e-7 <= 0 and c* + 1e-7 past the block: both score -inf
+    (5, 10.0, CsiCostModel(1e8 / (5 * 64), 1.0, 1.0), (5e-09, math.nan)),
+    (5, 10.0, CsiCostModel(1500 / (5 * 64), 1.0, 1.0), (0.0003130823037528391, 0.0008938780791944989)),
+    (5, 10.0, CsiCostModel(1e300, 1.0, 1.0),
+     ("EmptyFeasibleSet", "no feasible stream ratio in [1e-09, 3.125e-303]")),
+]
+RZF_EDGE_IDS = ["-100dB", "-90dB", "150dB", "160dB", "zero-power", "negative-power", "G=0", "G=0-free-csi",
+                "c-star-below-h", "below-one-grid-step", "empty"]
+
+
 class TestRzfOptCBits:
     """rzf_opt_c's c* and residual are those of its search over the public rate, bit for bit."""
 
@@ -223,27 +246,93 @@ class TestRzfOptCBits:
             expected = search_outcome(lambda: reference_rzf_opt_c(G, L, p_t, model))
             assert (res if isinstance(res, tuple) else (res.c_star, res.residual)) == expected, snr_db
 
-    @pytest.mark.parametrize("G, p_t, csi, expected", [
-        (5, 1e-10, CSI, ("NonPositiveB", "power trace limit b=-1.027482253643124e-16 <= 0 at c=0.002, p_t=1e-10")),
-        (5, 1e-9, CSI, ("NonPositiveB", "power trace limit b=-2.827993160978087e-17 <= 0 at c=0.001, p_t=1e-09")),
-        (5, 1e15, CSI, ("NonPositiveB", "power factor evaluation paths disagree: 8000000000000000.0 vs inf at "
-                                        "c=0.001, p_t=1000000000000000.0")),
-        (5, 1e16, CSI, ("NonPositiveB", "power trace limit b=-2.0 <= 0 at c=0.001, p_t=1e+16")),
-        (5, 0.0, CSI, (0.0010003665687179286, 0.0)),
-        (5, -1.0, CSI, ("ValueError", "p_t=-1.0 must be nonnegative")),
-        (0, 10.0, CSI, ("ValueError", "G=0 must be >= 1")),
-        (0, 10.0, CsiCostModel(0.0, 1.0, 1.0), ("ValueError", "G=0 must be >= 1")),
-        # c* - 1e-7 <= 0 and c* + 1e-7 past the block: both score -inf
-        (5, 10.0, CsiCostModel(1e8 / (5 * 64), 1.0, 1.0), (5e-09, math.nan)),
-        (5, 10.0, CsiCostModel(1500 / (5 * 64), 1.0, 1.0), (0.0003130823037528391, 0.0008938780791944989)),
-        (5, 10.0, CsiCostModel(1e300, 1.0, 1.0),
-         ("EmptyFeasibleSet", "no feasible stream ratio in [1e-09, 3.125e-303]")),
-    ], ids=["-100dB", "-90dB", "150dB", "160dB", "zero-power", "negative-power", "G=0", "G=0-free-csi",
-            "c-star-below-h", "below-one-grid-step", "empty"])
+    @pytest.mark.parametrize("G, p_t, csi, expected", RZF_EDGES, ids=RZF_EDGE_IDS)
     def test_edges(self, G, p_t, csi, expected):
         res = search_outcome(lambda: rzf_opt_c(G, 64, p_t, csi))
         got = res if isinstance(res, tuple) else (res.c_star, res.residual)
         assert repr(got) == repr(expected)
+
+
+def lone_side(G, L, p_t, model):
+    """One side of optimized_gain("RZF", ...) from a lone rzf_opt_c and integer_q over the public rate."""
+    res = rzf_opt_c(G, L, p_t, model)
+    zeta = csi_zeta(model, G, L)
+    q_star, rate = integer_q(
+        res.c_star, L, lambda q: data_share(q / L, zeta) * raw_rate("RZF", RateInputs.from_streams(G, q, L, p_t)), L
+    )
+    return res.c_star, res.residual, q_star, rate
+
+
+def lone_gain(G, L, p_t, model):
+    """optimized_gain("RZF", ...)'s two sides and gain, each side searched alone."""
+    cached, cacheless = lone_side(G, L, p_t, model), lone_side(1, L, p_t, model)
+    if cacheless[3] == 0:
+        raise ZeroDenominator("optimized cacheless effective rate is zero")
+    return cached, cacheless, cached[3] / cacheless[3]
+
+
+def shared_gain(G, L, p_t, model):
+    report = optimized_gain("RZF", G, L, p_t, model)
+    sides = [(s.c_star, s.residual, s.q_star, s.effective_rate_at_q_star) for s in (report.cached, report.cacheless)]
+    return (*sides, report.gain)
+
+
+def counting_rzf_constants(monkeypatch) -> list:
+    """Count the RZF core's evaluations, whichever module calls it."""
+    calls = []
+    core = analytic._rzf_constants
+
+    def counted(c, p_t):
+        calls.append(c)
+        return core(c, p_t)
+
+    monkeypatch.setattr(analytic, "_rzf_constants", counted)
+    monkeypatch.setattr(optimizer, "_rzf_constants", counted)
+    return calls
+
+
+class TestSharedRzfGrid:
+    """optimized_gain's two RZF sides share one memo of grid constants, yet each is its lone search bit for bit."""
+
+    @pytest.mark.parametrize("L", [32, 64])
+    def test_fig2_points_equal_lone_searches(self, L):
+        for snr_db in range(26):
+            p_t = power(snr_db)
+            assert shared_gain(6, L, p_t, CSI) == lone_gain(6, L, p_t, CSI), snr_db
+
+    @pytest.mark.parametrize("zeta, cached_hi", [(2.0, 0.5), (2000.0, 5e-4)], ids=["prefix-grid", "empty-grid"])
+    def test_cli_zeta_points_equal_lone_searches(self, zeta, cached_hi):
+        # the CLI's --zeta at G = 5, L = 64: the cached side's grid is a strict prefix of the cacheless one's
+        model = CsiCostModel(zeta / (5 * 64), 1.0, 1.0)
+        assert min(1.0, 1.0 / csi_zeta(model, 5, 64)) == cached_hi
+        shared = search_outcome(lambda: shared_gain(5, 64, 10.0, model))
+        assert repr(shared) == repr(search_outcome(lambda: lone_gain(5, 64, 10.0, model)))
+
+    @pytest.mark.parametrize("G, p_t, csi, expected", RZF_EDGES, ids=RZF_EDGE_IDS)
+    def test_edges_hold_through_optimized_gain(self, G, p_t, csi, expected):
+        shared = search_outcome(lambda: shared_gain(G, 64, p_t, csi))
+        assert repr(shared) == repr(search_outcome(lambda: lone_gain(G, 64, p_t, csi)))
+        if isinstance(expected[1], str):  # the cached side raises first, as rzf_opt_c alone does
+            assert shared == expected
+
+    @pytest.mark.parametrize("L", [32, 64])
+    def test_fig2_rows_take_at_most_1100_constants(self, monkeypatch, L):
+        calls = counting_rzf_constants(monkeypatch)
+        grid = set(np.arange(1e-3, 1.0, 1e-3).tolist())
+        for snr_db in range(26):
+            calls.clear()
+            optimized_gain("RZF", 6, L, power(snr_db), CSI)
+            # the 999 grid points once, plus each side's refinement and integer rounding; two lone searches take ~2,040
+            assert len(calls) <= 1100 and grid <= set(calls), snr_db
+
+    def test_no_constants_outlive_a_call(self, monkeypatch):
+        calls = counting_rzf_constants(monkeypatch)
+        for search in (lambda: rzf_opt_c(6, 32, 10.0, CSI), lambda: optimized_gain("RZF", 6, 32, 10.0, CSI)):
+            first = search()
+            count = len(calls)
+            assert search() == first
+            assert len(calls) == 2 * count
+            calls.clear()
 
 
 class TestIntegerQ:

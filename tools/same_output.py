@@ -11,7 +11,7 @@ report gives one line per command: whether stdout, stderr and the exit
 status are byte-identical, followed by the first differing lines of any
 stream that differs.  The exit status is 0 when every command matched.
 
-The list of 37 commands covers ``simulate`` and ``sweep --mode simulate``
+The list of 39 commands covers ``simulate`` and ``sweep --mode simulate``
 (MF, ZF, RZF; the trials=0 error; Q > L for MF; the ZF error at Q = L; a
 threaded Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits
 over 5 trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
@@ -21,8 +21,10 @@ triple, an optimize sweep over -10...40 dB at ``--zeta 0.05`` and at
 ``--zeta 0`` (where MF fails with ``UnboundedObjective``), ``optimize`` at
 feasible intervals that are empty (``--L 64`` at ``--zeta 2000`` for RZF,
 ``1e300`` for ZF and MF) or narrower than RZF's grid step (``--L 2048 --zeta
-1500``), the RZF ``rate`` at 120, 130, 140 and 150 dB (rows whose b is known
-to be low) and its ``NonPositiveB`` errors at -90 and 160 dB, an RZF ``gain``
+1500``), RZF ``optimize`` at ``--zeta 2`` (its cached side's grid a strict
+prefix of its cacheless side's), the RZF ``rate`` at 120, 130, 140 and 150
+dB (rows whose b is known to be low), its ``NonPositiveB`` errors at -90
+and 160 dB and its out-of-range error at -1545 dB, an RZF ``gain``
 at a ``fig3-L64`` point, ``power_factor(mode="montecarlo")`` for every precoder, the sha256
 digests of ``build_precoder`` (ZF, RZF) and of ``gram_powers``' signal and
 interference powers (MF, ZF, RZF, stacked alphas) on fixed seeded draws,
@@ -131,9 +133,10 @@ COMMANDS = [
     ("preset fig1 zeta 0.1", [*_CLI, "sweep", "--preset", "fig1", "--zeta", "0.1"], None),
     *[(f"optimize sweep zeta {zeta}", [*_OPT_SWEEP, "--zeta", zeta], None) for zeta in ("0.05", "0")],
     *[(f"optimize {p} L={L} zeta {zeta}", [*_OPT, "--precoder", p, "--L", L, "--zeta", zeta], None)
-      for p, L, zeta in (("rzf", "64", "2000"), ("zf", "64", "1e300"), ("mf", "64", "1e300"), ("all", "2048", "1500"))],
+      for p, L, zeta in (("rzf", "64", "2000"), ("zf", "64", "1e300"), ("mf", "64", "1e300"), ("all", "2048", "1500"),
+                         ("rzf", "64", "2"))],
     *[(f"rate rzf {snr_db} dB", [*_RZF_RATE, "--snr-db", snr_db], None)
-      for snr_db in ("120", "130", "140", "150", "-90", "160")],
+      for snr_db in ("120", "130", "140", "150", "-90", "160", "-1545")],
     ("gain rzf fig3-L64 12 dB", [*_CLI, "gain", "--precoder", "rzf", "--G", "6", "--L", "64", "--Q", "8",
                                  "--snr-db", "12", "--beta", "10", "--tc", "0.04", "--wc", "300e3"], None),
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
