@@ -247,18 +247,15 @@ def _rate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel)
     return dict(rate_nats=analytic.raw_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, _p_t(spec))))
 
 
-_MAX_GRAM_BYTES = 2**30  # simulate's cap on one trial's draw
-
-
 def _simulate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
     if checked is None:
         checked = scheme.scheme_for_gain(spec.L, spec.snr_db, G, spec.Q, K=spec.K, precoder=name)
     else:
         checked = scheme.validate(dataclasses.replace(checked, precoder=name))
     gram_bytes = 16 * checked.G * checked.Q**2  # one trial's complex (G, Q, Q) Gram stack
-    if gram_bytes > _MAX_GRAM_BYTES:
+    if gram_bytes > montecarlo._INVERSE_BYTES:
         raise SpecError(f"--G {checked.G} --Q {checked.Q}: one trial's Gram matrices take {gram_bytes} bytes, "
-                        f"over the cap of {_MAX_GRAM_BYTES}")
+                        f"over the cap of {montecarlo._INVERSE_BYTES}")
     mc = montecarlo.McConfig(trials=spec.trials, seed=RngSeed(spec.seed), scheme=checked, precoder=PrecoderKind(name))
     return dict(mc=mc, source=f"monte_carlo({spec.trials};{spec.seed})", trials=spec.trials, seed=spec.seed)
 

@@ -60,6 +60,7 @@ def _mean_and_se(values: list[float]) -> tuple[float, float]:
 
 
 _PASS_BYTES = 64 * 2**20  # kernel-row powers one trial pass may keep; more rows redraw the trials in further passes
+_INVERSE_BYTES = 2**30  # one draw's complex G x Q x Q stack per ZF and RZF row of a pass; more rows split the same way
 _REDUCE_BLOCK = 1024  # trials per vectorized reduction, bounding its temporaries
 
 
@@ -80,24 +81,24 @@ class _Draw:
     """One trial draw: the G Gram matrices ``W``, and the pass's ZF and RZF rows inverted in one call.
 
     ``inverted()`` runs :func:`ccdl.precoding._regularized_inverse` on W
-    once over the stacked ``alphas`` (ZF's 0 first), for whichever kernel
+    once with the pass's stacked ``shift`` (ZF's 0 I first), for whichever kernel
     asks first, and keeps (R, M, kernel rows of the powers) for the other;
     it is None where some W + alpha I is singular.
     """
 
-    __slots__ = ("W", "_alphas", "_inverted")
+    __slots__ = ("W", "_shift", "_inverted")
 
-    def __init__(self, W: np.ndarray, alphas: list[float]):
-        self.W, self._alphas, self._inverted = W, alphas, False
+    def __init__(self, W: np.ndarray, shift: np.ndarray):
+        self.W, self._shift, self._inverted = W, shift, False
 
     def inverted(self):
         if self._inverted is False:
             try:
-                R, M = precoding._regularized_inverse(self.W, _STACK, self._alphas)
+                R, M = precoding._regularized_inverse(self.W, _STACK, self._shift)
             except precoding.RankDeficient:
                 self._inverted = None
             else:
-                self._inverted = R, M, _rows(len(self._alphas), *precoding._inverse_powers(R, M))
+                self._inverted = R, M, _rows(len(self._shift), *precoding._inverse_powers(R, M))
         return self._inverted
 
 
@@ -142,7 +143,8 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
     its config's run alone.  Per draw, the pass's ZF and RZF rows come
     from one stacked inverse (:class:`_Draw`), and the pass's inverse work,
     G matrices per such row times Q^3, decides whether its trials run on
-    threads.  Rows whose kept powers would pass 64 MiB split over further
+    threads.  Rows whose kept powers would pass 64 MiB, or whose stacked
+    G x Q x Q matrices of one draw would pass 1 GiB, split over further
     passes that redraw the same trials.
     """
     configs = list(configs)
@@ -160,15 +162,16 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
     estimates = [None] * len(configs)
     for (seed, trials, G, Q, L), plan in ensembles.items():
         rows = list(plan)
-        per_pass = max(1, _PASS_BYTES // (16 * trials * G * Q))
+        per_pass = max(1, min(_PASS_BYTES // (16 * trials * G * Q), _INVERSE_BYTES // (16 * G * Q * Q)))
         for start in range(0, len(rows), per_pass):
             groups = {}
             for kind in rows[start : start + per_pass]:
                 groups.setdefault(kind.name, []).append(kind)
             stack = [*groups.get("ZF", ()), *groups.get("RZF", ())]
             alphas = [kind.alpha or 0.0 for kind in stack]  # ZF's alpha is None
+            shift = precoding._shift(alphas, Q, 3, np.complex128)  # wishart_gram's (G, Q, Q) complex stack
             kernels = [_kernel(kinds, stack.index(kinds[0]) if kinds[0] in stack else 0) for kinds in groups.values()]
-            draw = lambda gen: _Draw(wishart_gram(gen, G, Q, L), alphas)  # noqa: E731
+            draw = lambda gen: _Draw(wishart_gram(gen, G, Q, L), shift)  # noqa: E731
             columns = seeded_map(draw, kernels, trials, seed, len(stack) * G * Q**3)
             for kinds, per_trial in zip(groups.values(), columns):  # (sig, intf, traces) of each trial
                 for a, kind in enumerate(kinds):

@@ -23,7 +23,7 @@ from ccdl.analytic import (
     ZeroDenominator,
     _rzf_constants,
     _rzf_score,
-    _rzf_sum_rate,
+    _warn_if_c_above_one,
     csi_zeta,
     data_share,
     raw_rate,
@@ -239,20 +239,19 @@ def rzf_opt_c(G: int, L: int, p_t: float, model: CsiCostModel) -> OptimizationRe
     those of the public rate bit for bit.  Infeasible points (c <= 0, or
     overhead past the block) score -inf.  A call evaluates the RZF
     constants about 1,000 times on the grid and 40 times in the
-    refinement; :func:`optimized_gain` shares the grid's constants between
-    the two sides of an RZF row.
+    refinement; :func:`optimized_gain` shares them between the two sides
+    of an RZF row.
     """
-    return _rzf_search(G, L, p_t, model, None)
+    return _rzf_search(G, L, p_t, model, {})
 
 
-def _rzf_search(G: int, L: int, p_t: float, model: CsiCostModel, constants: dict | None) -> OptimizationResult:
-    """:func:`rzf_opt_c`, screening its grid through ``constants`` if given: grid point c -> (a, p_sq) at this p_t.
+def _rzf_search(G: int, L: int, p_t: float, model: CsiCostModel, constants: dict) -> OptimizationResult:
+    """:func:`rzf_opt_c`, keeping the RZF constants of every point it scores in ``constants``: c -> (a, p_sq) at this p_t.
 
-    A grid point found in the memo scores from it, and any other fills
-    it; the score is ``data_share * _rzf_score``, the float operations of
-    ``data_share * _rzf_sum_rate`` in the same order.  Without a memo, at
-    p_t = 0, and at the golden-section and residual points, every score
-    takes the unmemoized path.
+    A point found in the memo scores from it, and any other fills it.
+    The score is ``data_share * _rzf_score``, the float operations of
+    ``data_share * rzf_rate`` in the same order, so a memo that another
+    search at the same p_t filled changes no bit.
     """
     zeta = csi_zeta(model, G, L)
     hi = min(1.0, 1.0 / zeta) if zeta > 0 else 1.0
@@ -263,28 +262,24 @@ def _rzf_search(G: int, L: int, p_t: float, model: CsiCostModel, constants: dict
         if c <= 0:  # the COutOfRange of RateInputs
             return -math.inf
         try:
-            return data_share(c, zeta) * _rzf_sum_rate(G, L, c, p_t)
-        except CsiOverheadExceedsBlock:
-            return -math.inf
-
-    def screened(c: float) -> float:
-        # a grid point is positive and below 1 (no COutOfRange, no c > 1 warning)
-        try:
             share = data_share(c, zeta)
         except CsiOverheadExceedsBlock:
             return -math.inf
-        if c in constants:
-            a, p_sq = constants[c]
-        else:
+        if p_t == 0:  # rzf_rate's 0, with no constants to evaluate
+            return share * 0.0
+        _warn_if_c_above_one(c)
+        known = constants.get(c)
+        if known is None:
             a, _, _, p_sq = _rzf_constants(c, p_t)
             constants[c] = a, p_sq
+        else:
+            a, p_sq = known
         return share * _rzf_score(G, L, c, p_t, a, p_sq)
 
     grid = np.arange(1e-3, hi, 1e-3)
     lo_ref, hi_ref = 0.0, hi  # (0, hi) is narrower than one grid step
     if grid.size:
-        score = screened if constants is not None and p_t != 0 else objective
-        best = int(np.argmax([score(c) for c in grid.tolist()]))
+        best = int(np.argmax([objective(c) for c in grid.tolist()]))
         lo_ref = float(grid[max(best - 1, 0)])
         hi_ref = float(grid[min(best + 1, len(grid) - 1)])
     c_star = _golden_max(objective, lo_ref, hi_ref)
@@ -371,7 +366,7 @@ def optimized_gain(
     :func:`integer_q`, errors included.  A ``fig2`` row evaluates the
     constants about 1,040 times instead of 2,040.
     """
-    rzf_constants = {}  # RZF's grid constants at this p_t, filled by the cached side's search
+    rzf_constants = {}  # RZF's constants at this p_t, filled by the cached side's search
     cached = _optimize_side(precoder, G, L, p_t, model, q_max, rzf_constants)
     cacheless = _optimize_side(precoder, 1, L, p_t, model, q_max, rzf_constants)
     if cacheless.effective_rate_at_q_star == 0:

@@ -10,7 +10,6 @@ one inverse R = (W + alpha I)^-1, so they make one rank decision per draw.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -143,7 +142,8 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndar
     """
     if kind.name == "MF":
         return _powers(W, np.trace(W, axis1=-2, axis2=-1).real)
-    return _inverse_powers(*_regularized_inverse(W, kind, alphas))
+    shift = None if alphas is None else _shift(alphas, W.shape[-1], W.ndim, W.dtype)
+    return _inverse_powers(*_regularized_inverse(W, kind, shift))
 
 
 def _inverse_powers(R: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -158,20 +158,22 @@ def _powers(M: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return sig, P.sum(axis=-1) - sig, trace
 
 
-def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None):
+def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, shift=None):
     """R = (W + alpha I)^-1 and the effective channel M = W R, for Gram matrices W.
 
-    ZF is alpha = 0; RZF takes ``kind.alpha`` or the stacked ``alphas``.
-    A singular W + alpha I raises :class:`RankDeficient`, and so does the
-    ZF rank rule: an R that is not finite or an M more than 1e-6 from I.
+    ZF is alpha = 0; RZF takes ``kind.alpha``, or ``shift``, a stacked
+    alpha I from :func:`_shift`.  A singular W + alpha I raises
+    :class:`RankDeficient`, and so does the ZF rank rule: an R that is not
+    finite or an M more than 1e-6 from I.
     """
-    alpha = kind.alpha if alphas is None else tuple(alphas)
     if kind.name == "ZF":
-        alpha = 0.0
-    elif alpha is None:
-        raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
+        shift = 0.0 * np.eye(W.shape[-1])
+    elif shift is None:
+        if kind.alpha is None:
+            raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
+        shift = kind.alpha * np.eye(W.shape[-1])
     try:
-        R = np.linalg.inv(W + _shift(alpha, W.shape[-1], W.ndim, W.dtype))
+        R = np.linalg.inv(W + shift)
     except np.linalg.LinAlgError as exc:
         raise RankDeficient(f"singular Gram matrix in {kind.name} precoder") from exc
     M = W @ R
@@ -180,18 +182,15 @@ def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, alphas=None):
     return R, M
 
 
-@functools.lru_cache(maxsize=32)
-def _shift(alpha, Q: int, ndim: int, dtype) -> np.ndarray:
-    """alpha I in the type of W + alpha I, for Gram stacks W of ``dtype`` with ``ndim`` axes; cached, read-only.
+def _shift(alphas, Q: int, ndim: int, dtype) -> np.ndarray:
+    """One alpha I per entry of ``alphas``, stacked on a new leading axis, for Gram stacks W of ``dtype`` with ``ndim`` axes.
 
-    A tuple ``alpha`` stacks one alpha I per entry on a new leading axis.
-    W plus this array is W + alpha I bit for bit, without casting a float
-    alpha I to W's complex type on every draw.
+    Built in the type of W + alpha I, so that W plus it is W + alpha I bit
+    for bit without casting a float alpha I to W's complex type on every
+    addition; a caller that adds it to many draws builds it once.
     """
-    scale = np.reshape(alpha, (-1,) + (1,) * ndim) if isinstance(alpha, tuple) else alpha
-    shift = (scale * np.eye(Q)).astype(np.result_type(dtype, np.float64))
-    shift.flags.writeable = False
-    return shift
+    scale = np.reshape(alphas, (-1,) + (1,) * ndim)
+    return (scale * np.eye(Q)).astype(np.result_type(dtype, np.float64))
 
 
 def _zf_rank_rule(R: np.ndarray, M: np.ndarray) -> None:

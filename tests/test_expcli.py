@@ -450,10 +450,23 @@ class TestSharedEnsembles:
         code, lines, _ = run_cli(capsys, *HARDENING)
         assert code == 0
         calls = _counting_draws(monkeypatch)
-        # every kernel row (MF, ZF and each of the 5 RZF alphas) stores two (trials, G*Q) float arrays
-        monkeypatch.setattr(montecarlo, "_PASS_BYTES", rows_per_pass * 2 * 100 * 5 * 16 * 8)
-        assert run_cli(capsys, *HARDENING) == (0, lines, "")
-        assert len(calls) == passes * 100
+        shifts, shift = [], montecarlo.precoding._shift
+
+        def kept_shift(*args):
+            shifts.append(shift(*args))
+            return shifts[-1]
+
+        monkeypatch.setattr(montecarlo.precoding, "_shift", kept_shift)
+        # every kernel row (MF, ZF and each of the 5 RZF alphas) stores two (trials, G*Q) float arrays, and each
+        # ZF and RZF row adds a (G, Q, Q) complex stack to one draw's inverse
+        for cap, row_bytes in (("_PASS_BYTES", 2 * 100 * 5 * 16 * 8), ("_INVERSE_BYTES", 16 * 5 * 16 * 16)):
+            calls.clear()
+            shifts.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, cap, rows_per_pass * row_bytes)
+                assert run_cli(capsys, *HARDENING) == (0, lines, ""), cap
+            assert len(calls) == passes * 100, cap
+            assert 0 < max(len(s) for s in shifts) <= rows_per_pass, cap
 
 
 class TestOutputStability:

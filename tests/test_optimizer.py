@@ -292,7 +292,7 @@ def counting_rzf_constants(monkeypatch) -> list:
 
 
 class TestSharedRzfGrid:
-    """optimized_gain's two RZF sides share one memo of grid constants, yet each is its lone search bit for bit."""
+    """optimized_gain's two RZF sides share one memo of RZF constants, yet each is its lone search bit for bit."""
 
     @pytest.mark.parametrize("L", [32, 64])
     def test_fig2_points_equal_lone_searches(self, L):
