@@ -22,9 +22,12 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
+import typing
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 from ccdl import analytic, montecarlo, optimizer, scheme
 from ccdl._parallel import map_ordered
@@ -66,32 +69,104 @@ class SpecError(ValueError):
     """A run specification is incomplete or inconsistent."""
 
 
+class NonFiniteRow(FloatingPointError):
+    """A computed row holds a non-finite number."""
+
+
+def _p_t(snr_db: float) -> float:
+    """The linear power 10**(snr_db/10), which must be a normal float."""
+    try:
+        p_t = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise SpecError(f"--snr-db {snr_db} overflows the linear power 10**(snr_db/10)") from None
+    if p_t < sys.float_info.min:
+        raise SpecError(f"--snr-db {snr_db} underflows the linear power 10**(snr_db/10)")
+    return p_t
+
+
+@functools.cache
+def _bound(text: str) -> tuple[Callable, int]:
+    """The comparison and integer bound of a domain bound such as ">= 1" or "< 2**64"."""
+    op, number = text.split()
+    compare = {">=": operator.ge, ">": operator.gt, "<": operator.lt}[op]
+    return compare, functools.reduce(pow, map(int, number.split("**")))
+
+
+@dataclass(frozen=True)
+class Flag:
+    """How one spec field reads from the command line; ``_FLAGS`` adds its name, type and spelling."""
+
+    help: str
+    spelling: str = ""  # default: --name, dashes for underscores
+    choices: tuple[str, ...] | None = None
+    any_case: bool = False  # a config value matches a choice in any case; argparse matches exactly
+    bounds: tuple[str, ...] = ()  # comparisons each value passes, such as ">= 1"
+    check: Callable | None = None  # a further domain check, called with the value
+    sweep_only: bool = False
+    name: str = ""
+    kind: type = str
+
+    def validate(self, value) -> None:
+        """Raise a SpecError unless a given value is finite (for a float), one of the choices and within the bounds."""
+        if self.kind is float and not math.isfinite(value):
+            raise SpecError(f"{self.spelling} must be finite")
+        if self.choices and (value.lower() if self.any_case else value) not in self.choices:
+            raise SpecError(f"{self.spelling} must be one of {', '.join(self.choices)}; got {value!r}")
+        for text in self.bounds:
+            compare, bound = _bound(text)
+            if not compare(value, bound):
+                raise SpecError(f"{self.spelling} must be {text}, got {value}")
+        if self.check:
+            self.check(value)
+
+
+def _flag(help: str, default=None, **flag):
+    return dataclasses.field(default=default, metadata={"flag": Flag(help, **flag)})
+
+
+_EXACT = "< 2**53"  # a count the float arithmetic holds exactly
+
+
 @dataclass
 class ExperimentSpec:
-    """Fully resolved description of one CLI invocation."""
+    """Fully resolved description of one CLI invocation, and the one table of its flags:
+    each field but ``command`` has its type as annotation and its :class:`Flag` as metadata."""
 
     command: str
-    precoder: str | None = None
-    L: int | None = None
-    Q: int | None = None
-    q_prime: int | None = None
-    G: int | None = None
-    lambda_states: int | None = None
-    gamma: float | None = None
-    K: int | None = None
-    snr_db: float | None = None
-    beta: float | None = None
-    tc: float | None = None
-    wc: float | None = None
-    zeta: float | None = None
-    trials: int = 1000
-    seed: int = 0
-    out: str | None = None
-    axis: str | None = None
-    start: float | None = None
-    stop: float | None = None
-    step: float | None = None
-    mode: str | None = None
+    precoder: str | None = _flag("all gives one row each", choices=(*ALL_PRECODERS, "all"), any_case=True)
+    L: int | None = _flag("transmit antennas", bounds=(">= 1", _EXACT))
+    Q: int | None = _flag("streams per group", bounds=(_EXACT,))
+    q_prime: int | None = _flag("cacheless-side stream count (gain; default Q)", bounds=(_EXACT,))
+    G: int | None = _flag("groups served per transmission", bounds=(">= 1", _EXACT))
+    lambda_states: int | None = _flag("cache states, with --gamma in place of --G", spelling="--lambda",
+                                      bounds=(_EXACT,))
+    gamma: float | None = _flag("cached fraction of the library, with --lambda")
+    K: int | None = _flag("users, with --lambda/--gamma or for simulate (default lambda * Q)", bounds=(_EXACT,))
+    snr_db: float | None = _flag("SNR in dB, whose linear power 10**(snr_db/10) must be a normal float", check=_p_t)
+    beta: float | None = _flag("pilot resources per user per block", bounds=(">= 0",))
+    tc: float | None = _flag("coherence time in seconds", bounds=("> 0",))
+    wc: float | None = _flag("coherence bandwidth in Hz", bounds=("> 0",))
+    zeta: float | None = _flag("overhead coefficient, overrides --beta/--tc/--wc", bounds=(">= 0",))
+    trials: int = _flag("Monte Carlo trials (default 1000)", 1000, bounds=(">= 1",))
+    seed: int = _flag("Monte Carlo seed (default 0)", 0, bounds=(">= 0", "< 2**64"))
+    out: str | None = _flag("CSV output path (default: stdout)")
+    axis: str | None = _flag("swept field", choices=("snr_db", "Q", "L", "G"), sweep_only=True)
+    start: float | None = _flag("first axis value", sweep_only=True)
+    stop: float | None = _flag("last axis value", sweep_only=True)
+    step: float | None = _flag("axis step", sweep_only=True, bounds=("> 0",))
+    mode: str | None = _flag("command run at each point (default: rate)", sweep_only=True,
+                             choices=("gain", "optimize", "rate", "simulate"))
+
+
+def _flags() -> dict[str, Flag]:
+    """Each spec field's Flag but command's, with its name, type and spelling filled in."""
+    hints = typing.get_type_hints(ExperimentSpec)
+    return {f.name: dataclasses.replace(flag, name=f.name, kind=(typing.get_args(hints[f.name]) or (hints[f.name],))[0],
+                                        spelling=flag.spelling or "--" + f.name.replace("_", "-"))
+            for f in dataclasses.fields(ExperimentSpec) if (flag := f.metadata.get("flag"))}
+
+
+_FLAGS = _flags()
 
 
 def preset(name: str) -> ExperimentSpec:
@@ -125,14 +200,10 @@ def preset(name: str) -> ExperimentSpec:
     raise UnknownPreset(f"no preset named {name!r}")
 
 
-_INT_FIELDS = ("L", "Q", "q_prime", "G", "lambda_states", "K", "trials", "seed")
-_FLOAT_FIELDS = ("snr_db", "gamma", "beta", "tc", "wc", "zeta", "start", "stop", "step")
-
-
 def _typed(key: str, value):
     """A spec value with its flag's type: an int field takes a non-bool int, a float field a
     non-bool int or float (stored as a float), any other field a string."""
-    kind = int if key in _INT_FIELDS else float if key in _FLOAT_FIELDS else str
+    kind = _FLAGS[key].kind
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise SpecError(f"spec field {key!r} must be {kind.__name__}, got {value!r}")
     try:
@@ -142,9 +213,8 @@ def _typed(key: str, value):
 
 
 def _merge(base: ExperimentSpec, override: dict) -> ExperimentSpec:
-    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
     for key, value in override.items():
-        if key not in fields:
+        if key not in _FLAGS:
             raise SpecError(f"unknown spec field {key!r}")
         if value is not None:
             setattr(base, key, _typed(key, value))
@@ -154,36 +224,16 @@ def _merge(base: ExperimentSpec, override: dict) -> ExperimentSpec:
 def _require(spec: ExperimentSpec, *names: str) -> None:
     missing = [n for n in names if getattr(spec, n) is None]
     if missing:
-        raise SpecError(f"{spec.command} needs {', '.join('--' + n.replace('_', '-') for n in missing)}")
-
-
-# (field, lower bound, whether the bound itself is excluded)
-_LOWER_BOUNDS = (("zeta", 0, False), ("beta", 0, False), ("tc", 0, True), ("wc", 0, True), ("L", 1, False),
-                 ("G", 1, False), ("trials", 1, False), ("seed", 0, False))
+        raise SpecError(f"{spec.command} needs {', '.join(_FLAGS[n].spelling for n in missing)}")
 
 
 def _check_domain(spec: ExperimentSpec) -> None:
-    """Reject non-finite float fields, a negative --zeta or --beta, a --tc or --wc
-    that is not positive or whose product underflows, an antenna count, group
-    count or --trials below one, and a --seed outside [0, 2**64)."""
-    bad = [n for n in _FLOAT_FIELDS if getattr(spec, n) is not None and not math.isfinite(getattr(spec, n))]
-    if bad:
-        raise SpecError(f"{', '.join('--' + n.replace('_', '-') for n in bad)} must be finite")
-    for name, bound, strict in _LOWER_BOUNDS:
-        value = getattr(spec, name)
-        if value is not None and (value <= bound if strict else value < bound):
-            raise SpecError(f"--{name} must be {'>' if strict else '>='} {bound}, got {value}")
-    if spec.seed >= 2**64:
-        raise SpecError(f"--seed must be < 2**64, got {spec.seed}")
+    """Reject a field outside its domain in :class:`ExperimentSpec`, then a --tc * --wc that underflows."""
+    for flag in _FLAGS.values():
+        if (value := getattr(spec, flag.name)) is not None:
+            flag.validate(value)
     if spec.tc is not None and spec.wc is not None and spec.tc * spec.wc == 0:
         raise SpecError(f"--tc * --wc underflows to 0 (--tc {spec.tc}, --wc {spec.wc})")
-
-
-def _p_t(spec: ExperimentSpec) -> float:
-    try:
-        return 10.0 ** (spec.snr_db / 10.0)
-    except OverflowError:
-        raise SpecError(f"--snr-db {spec.snr_db} overflows the linear power 10**(snr_db/10)") from None
 
 
 def _csi_model(spec: ExperimentSpec, G: int, L: int) -> CsiCostModel:
@@ -236,15 +286,11 @@ def _precoders(spec: ExperimentSpec) -> list[str]:
     if spec.precoder is None:
         raise SpecError(f"need --precoder ({', '.join(ALL_PRECODERS)}, or all)")
     name = spec.precoder.lower()
-    if name == "all":
-        return list(ALL_PRECODERS)
-    if name not in ALL_PRECODERS:
-        raise SpecError(f"unknown precoder {spec.precoder!r}")
-    return [name]
+    return list(ALL_PRECODERS) if name == "all" else [name]
 
 
 def _rate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
-    return dict(rate_nats=analytic.raw_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, _p_t(spec))))
+    return dict(rate_nats=analytic.raw_rate(name, RateInputs.from_streams(G, spec.Q, spec.L, _p_t(spec.snr_db))))
 
 
 def _simulate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
@@ -261,7 +307,7 @@ def _simulate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostMo
 
 
 def _optimize(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
-    report = optimizer.optimized_gain(name, G, spec.L, _p_t(spec), model)
+    report = optimizer.optimized_gain(name, G, spec.L, _p_t(spec.snr_db), model)
     q_star = report.cached.q_star
     fields = _rate(dataclasses.replace(spec, Q=q_star), name, G, checked, model)
     return dict(fields, Q=q_star, c_star=report.cached.c_star, q_star=q_star, gain=report.gain)
@@ -269,7 +315,7 @@ def _optimize(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostMo
 
 def _gain(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostModel) -> dict:
     q_prime = spec.Q if spec.q_prime is None else spec.q_prime
-    gain = analytic.effective_gain(name, G, spec.Q, q_prime, spec.L, _p_t(spec), model)
+    gain = analytic.effective_gain(name, G, spec.Q, q_prime, spec.L, _p_t(spec.snr_db), model)
     return dict(_rate(spec, name, G, checked, model), gain=gain)
 
 
@@ -311,20 +357,15 @@ def _finish(rows: list[dict]) -> list[dict]:
         bad = [col for col, value in row.items() if isinstance(value, float) and not math.isfinite(value)]
         if bad:
             at = ", ".join(f"{col}={row[col]}" for col in ("L", "Q", "G", "snr_db"))
-            raise FloatingPointError(f"{row['precoder']} gives non-finite {', '.join(bad)} at {at}")
+            raise NonFiniteRow(f"{row['precoder']} gives non-finite {', '.join(bad)} at {at}")
     return rows
 
 
-_INT_AXES = ("Q", "L", "G")
 _MAX_SWEEP_POINTS = 100_000
 
 
 def _axis_values(spec: ExperimentSpec) -> list:
     _require(spec, "axis", "start", "stop", "step")
-    if spec.axis not in ("snr_db", "Q", "L", "G"):
-        raise SpecError(f"sweep axis must be one of snr_db, Q, L, G; got {spec.axis!r}")
-    if spec.step <= 0:
-        raise SpecError("sweep step must be positive")
     span = (spec.stop - spec.start) / spec.step + 1e-9  # floor(span) + 1 points; may overflow to inf
     if span < 0:
         raise SpecError("empty sweep range")
@@ -332,7 +373,7 @@ def _axis_values(spec: ExperimentSpec) -> list:
     if span >= _MAX_SWEEP_POINTS:
         raise SpecError(f"sweep has {count} points, over the cap of {_MAX_SWEEP_POINTS}")
     values = [spec.start + i * spec.step for i in range(count)]
-    if spec.axis in _INT_AXES:
+    if _FLAGS[spec.axis].kind is int:
         ints = [int(round(v)) for v in values]
         if any(abs(v - i) > 1e-9 for v, i in zip(values, ints)):
             raise SpecError(f"axis {spec.axis} requires integer sweep values")
@@ -342,14 +383,11 @@ def _axis_values(spec: ExperimentSpec) -> list:
 
 def _sweep_rows(spec: ExperimentSpec) -> list[dict]:
     mode = spec.mode or "rate"
-    if mode not in _MODES:
-        raise SpecError(f"sweep mode must be one of {sorted(_MODES)}; got {mode!r}")
     values = _axis_values(spec)
 
     def one_point(value) -> list[dict]:
-        point = dataclasses.replace(spec, **{spec.axis: value})
-        _check_domain(point)
-        return _rows(point, mode)
+        _FLAGS[spec.axis].validate(value)  # run() checked the rest of the spec
+        return _rows(dataclasses.replace(spec, **{spec.axis: value}), mode)
 
     return [row for rows in map_ordered(one_point, values) for row in rows]
 
@@ -401,32 +439,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Cache-aided downlink rate, simulation, optimization and sweep experiments (CSV output).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in ("rate", "simulate", "optimize", "gain", "sweep"):
+    for command in (*_MODES, "sweep"):
         p = sub.add_parser(command)
-        p.add_argument("--precoder", choices=[*ALL_PRECODERS, "all"])
-        p.add_argument("--L", type=int)
-        p.add_argument("--Q", type=int)
-        p.add_argument("--q-prime", dest="q_prime", type=int, help="cacheless-side stream count (gain; default Q)")
-        p.add_argument("--G", type=int)
-        p.add_argument("--lambda", dest="lambda_states", type=int)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--K", type=int)
-        p.add_argument("--snr-db", dest="snr_db", type=float)
-        p.add_argument("--beta", type=float, help="pilot resources per user per block")
-        p.add_argument("--tc", type=float, help="coherence time in seconds")
-        p.add_argument("--wc", type=float, help="coherence bandwidth in Hz")
-        p.add_argument("--zeta", type=float, help="overhead coefficient, overrides --beta/--tc/--wc")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="CSV output path (default: stdout)")
-        p.add_argument("--preset", help="fig1, fig2-L32, fig2-L64, fig3-L64")
-        p.add_argument("--config", help="JSON file of spec fields; flags override")
-        if command == "sweep":
-            p.add_argument("--axis", choices=["snr_db", "Q", "L", "G"])
-            p.add_argument("--start", type=float)
-            p.add_argument("--stop", type=float)
-            p.add_argument("--step", type=float)
-            p.add_argument("--mode", choices=sorted(_MODES))
+        for flag in _FLAGS.values():
+            if command == "sweep" or not flag.sweep_only:
+                p.add_argument(flag.spelling, dest=flag.name, type=flag.kind, choices=flag.choices,
+                               help=f"{flag.help} [{', '.join((flag.kind.__name__, *flag.bounds))}]")
+        for spelling, text in (("--preset", "fig1, fig2-L32, fig2-L64, fig3-L64"),
+                               ("--config", "JSON file of spec fields; flags override")):
+            p.add_argument(spelling, help=text)
     return parser
 
 
@@ -438,8 +459,11 @@ def build_spec(args: argparse.Namespace) -> ExperimentSpec:
 
     config_values = {}
     if config_path:
-        with open(config_path) as fh:
-            config_values = json.load(fh)
+        try:
+            with open(config_path) as fh:
+                config_values = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SpecError(f"config file {config_path!r}: {exc}") from None
         if not isinstance(config_values, dict):
             raise SpecError("config file must hold a JSON object")
         config_preset = config_values.pop("preset", None)

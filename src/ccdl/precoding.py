@@ -24,6 +24,10 @@ class ExactUnavailable(ValueError):
     """No finite-dimension closed form exists for the requested factor."""
 
 
+class ZfPowerUnbounded(ValueError):
+    """ZF's expected power trace Q / (L - Q) is unbounded: the exact factor needs L > Q."""
+
+
 @dataclass(frozen=True)
 class PrecoderKind:
     """Precoder selector; RZF carries its regularization weight alpha."""
@@ -100,7 +104,7 @@ def power_factor(
             return math.sqrt(p_t / (Q * L))
         if kind.name == "ZF":
             if not L > Q:
-                raise ValueError(f"exact ZF power factor needs L > Q, got Q={Q}, L={L}")
+                raise ZfPowerUnbounded(f"exact ZF power factor needs L > Q, got Q={Q}, L={L}")
             return math.sqrt(p_t * (L - Q) / Q)
         if finite_l:
             raise ExactUnavailable("no finite-L closed form for the RZF power factor; use montecarlo")

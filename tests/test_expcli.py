@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccdl import expcli, montecarlo
+from ccdl import analytic, channel, expcli, montecarlo, optimizer, precoding, scheme
 from ccdl.analytic import CsiCostModel, csi_zeta, data_share
 from ccdl.expcli import CSV_COLUMNS, ExperimentSpec, main, preset, run
 
@@ -328,6 +328,108 @@ class TestErrors:
         assert err == f"error: SpecError: {message}\n"
 
 
+# Each subcommand's flags with their types and choices as they stood before the field table, which adds and
+# removes none.
+_SHARED_FLAGS = {"--help": None, "--precoder": ("mf", "zf", "rzf", "all"), "--L": "int", "--Q": "int",
+                 "--q-prime": "int", "--G": "int", "--lambda": "int", "--gamma": "float", "--K": "int",
+                 "--snr-db": "float", "--beta": "float", "--tc": "float", "--wc": "float", "--zeta": "float",
+                 "--trials": "int", "--seed": "int", "--out": "str", "--preset": "str", "--config": "str"}
+_SWEEP_FLAGS = {"--axis": ("snr_db", "Q", "L", "G"), "--start": "float", "--stop": "float", "--step": "float",
+                "--mode": ("gain", "optimize", "rate", "simulate")}
+
+
+class TestFieldTable:
+    """The parser, config typing and domain checks all read ExperimentSpec's one field table."""
+
+    @pytest.mark.parametrize("command", ["rate", "simulate", "optimize", "gain", "sweep"])
+    def test_each_command_takes_the_same_flags(self, command):
+        parser = expcli._build_parser()._subparsers._group_actions[0].choices[command]
+        flags = {action.option_strings[-1]: tuple(action.choices) if action.choices else
+                 None if action.nargs == 0 else getattr(action.type, "__name__", "str") for action in parser._actions}
+        assert flags == (_SHARED_FLAGS | _SWEEP_FLAGS if command == "sweep" else _SHARED_FLAGS)
+
+    def test_sweep_modes_are_the_commands(self):
+        assert set(expcli._FLAGS["mode"].choices) == set(expcli._MODES)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rate", "--precoder", "rzf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db", "-3235"),
+         "--snr-db -3235.0 underflows the linear power 10**(snr_db/10)"),
+        (("gain", "--precoder", "mf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db", "-3100"),
+         "--snr-db -3100.0 underflows the linear power 10**(snr_db/10)"),
+        (("simulate", "--precoder", "zf", "--G", "2", "--L", "16", "--Q", "4", "--snr-db", "3083", "--trials", "10"),
+         "--snr-db 3083.0 overflows the linear power 10**(snr_db/10)"),
+        (("sweep", "--mode", "rate", "--precoder", "mf", "--G", "3", "--Q", "8", "--snr-db", "10", "--zeta", "0",
+          "--axis", "L", "--start", "1e308", "--stop", "1e308", "--step", "1"), f"--L must be < 2**53, got {int(1e308)}"),
+        (("rate", "--precoder", "mf", "--G", "3", "--L", "64", "--Q", str(10**400), "--snr-db", "10"),
+         f"--Q must be < 2**53, got {10**400}"),
+        (("rate", "--precoder", "mf", "--G", "5", "--L", "64", "--Q", str(2**53), "--snr-db", "10"),
+         f"--Q must be < 2**53, got {2**53}"),
+    ], ids=["rzf-rate-subnormal-power", "mf-gain-subnormal-power", "simulate-power-overflow", "sweep-count-overflow",
+            "count-overflow", "count-inexact"])
+    def test_out_of_domain_spec_names_the_flag(self, capsys, argv, message):
+        # The first two printed SnrOutOfRange naming snr_db=-inf and a gain from subnormal rates; the next three
+        # failed with the builtin OverflowError; the last printed a row from a count no float holds exactly.
+        assert run_cli(capsys, *argv) == (1, [], f"error: SpecError: {message}\n")
+
+    def test_linear_power_edges(self, capsys):
+        base = ("rate", "--precoder", "mf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db")
+        assert [run_cli(capsys, *base, snr_db)[0] for snr_db in ("-3077", "-3076", "3082", "3083")] == [1, 0, 0, 1]
+
+    def test_non_finite_row_is_a_typed_floating_point_error(self, capsys):
+        assert issubclass(expcli.NonFiniteRow, FloatingPointError)
+        assert run_cli(capsys, "rate", "--precoder", "zf", "--G", "1", "--L", "1000000", "--Q", "1",
+                       "--snr-db", "3080") == (1, [], "error: NonFiniteRow: zf gives non-finite rate_nats, rate_bits, "
+                                                      "effective_rate_nats at L=1000000, Q=1, G=1, snr_db=3080.0\n")
+
+    def test_square_zf_simulation_is_a_typed_error(self, capsys):
+        assert run_cli(capsys, "simulate", "--precoder", "zf", "--G", "2", "--L", "16", "--Q", "16", "--snr-db", "10",
+                       "--trials", "150") == (1, [], "error: ZfPowerUnbounded: exact ZF power factor needs L > Q, "
+                                                     "got Q=16, L=16\n")
+
+    @pytest.mark.parametrize("text", ["{bad", "[1, 2", ""])
+    def test_malformed_config_file_names_the_file(self, capsys, tmp_path, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            reason = str(exc)
+        assert run_cli(capsys, "rate", "--config", str(cfg)) == (1, [], f"error: SpecError: config file {str(cfg)!r}: "
+                                                                        f"{reason}\n")
+
+    def test_missing_config_file_names_the_file(self, capsys, tmp_path):
+        code, lines, err = run_cli(capsys, "rate", "--config", str(tmp_path / "none.json"))
+        assert (code, lines) == (1, [])
+        assert err.startswith(f"error: SpecError: config file {str(tmp_path / 'none.json')!r}: ")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("precoder", "bogus", "--precoder must be one of mf, zf, rzf, all; got 'bogus'"),
+        ("axis", "q", "--axis must be one of snr_db, Q, L, G; got 'q'"),
+        ("mode", "RATE", "--mode must be one of gain, optimize, rate, simulate; got 'RATE'"),
+    ])
+    def test_config_value_outside_the_choices(self, capsys, tmp_path, field, value, message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({field: value}))
+        flags = {"--precoder": "zf", "--axis": "snr_db", "--mode": "rate", "--G": "5", "--L": "64", "--Q": "16",
+                 "--start": "0", "--stop": "1", "--step": "1"}
+        del flags[f"--{field}"]  # a flag would override the config value
+        argv = (x for kv in flags.items() for x in kv)
+        assert run_cli(capsys, "sweep", "--config", str(cfg), *argv) == (1, [], f"error: SpecError: {message}\n")
+
+    def test_config_precoder_in_any_case(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"precoder": "ZF"}))
+        argv = ("--G", "5", "--L", "64", "--Q", "16", "--snr-db", "10")
+        assert run_cli(capsys, "rate", "--config", str(cfg), *argv) == run_cli(capsys, "rate", "--precoder", "zf", *argv)
+
+    def test_help_states_type_and_domain(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--seed SEED Monte Carlo seed (default 0) [int, >= 0, < 2**64]" in out
+        assert "--tc TC coherence time in seconds [float, > 0]" in out
+
+
 # 0.07 at G = 7, L = 100 is one of the (zeta, G, L) triples where the model's coefficient is an ulp off the typed one.
 ZETA_POINT = ("--zeta", "0.07", "--G", "7", "--L", "100", "--Q", "8", "--snr-db", "10", "--precoder", "all")
 INFEASIBLE = ("--precoder", "zf", "--G", "5", "--L", "64", "--Q", "16", "--snr-db", "10", "--zeta", "10",
@@ -583,3 +685,110 @@ class TestInputDomainProperty:
             assert code == 1
             assert out.getvalue() == "" and shown == []
             assert re.fullmatch(r"error: [A-Za-z_]\w*: [^\n]*\n", err.getvalue()), err.getvalue()
+
+
+# Every exception class that a ccdl module defines: the only names a failing run may print.
+CCDL_ERRORS = {obj.__name__ for module in (analytic, channel, expcli, montecarlo, optimizer, precoding, scheme)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__.startswith("ccdl.")}
+_EDGE_SNRS = [-3236.0, -3100.0, -3077.0, -3076.0, -1545.0, -90.0, 160.0, 1600.0, 3080.0, 3082.0, 3083.0]
+# Fields that may take edge values, which can be out of domain; "choice" stands for --precoder, --axis and --mode
+_WILD = ("L", "Q", "q_prime", "G", "lambda_states", "K", "gamma", "snr_db", "zeta", "beta", "tc", "wc", "trials",
+         "seed", "start", "step", "choice")
+
+
+@st.composite
+def _cli_runs(draw):
+    """(command, spec fields, names of the fields given by --config rather than by flags).
+
+    Up to two fields are wild and take edge values; the rest take ordinary ones, so that some runs compute rows.
+    """
+    command = draw(st.sampled_from(["rate", "gain", "optimize", "simulate", "sweep"]))
+    mode = draw(st.sampled_from([None, "rate", "gain", "optimize", "simulate"])) if command == "sweep" else None
+    wild = draw(st.sets(st.sampled_from(_WILD), max_size=2))
+
+    def value(name, ordinary, edge):
+        return draw(edge if name in wild else ordinary)
+
+    # Monte Carlo runs take small shapes and few trials; the closed forms take any size.
+    simulating = "simulate" in (command, mode)
+    count, edge_count = (st.integers(1, 16), st.integers(-1, 0)) if simulating else (st.integers(1, 300), _INTS)
+    scheme = draw(st.booleans())  # the group count from --lambda and --gamma, else from --G
+    fields = dict(
+        precoder=draw(st.sampled_from(["mf", "zf", "rzf", "all"])), L=value("L", count, edge_count),
+        Q=value("Q", count, edge_count), q_prime=value("q_prime", st.none() | count, edge_count),
+        G=value("G", st.none() if scheme else count, st.none() | edge_count),
+        snr_db=value("snr_db", st.floats(-30, 60), st.sampled_from(_EDGE_SNRS) | _FLOATS),
+        zeta=value("zeta", st.none() | st.sampled_from([0.0, 0.01, 0.3]), st.sampled_from([1e-300, 1e300]) | _FLOATS),
+    )
+    if scheme:
+        fields.update(lambda_states=value("lambda_states", count, edge_count),
+                      K=value("K", st.none() | count, edge_count),
+                      gamma=value("gamma", st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), _FLOATS))
+    if draw(st.booleans()):
+        fields.update(beta=value("beta", st.sampled_from([0.0, 10.0]), _FLOATS),
+                      tc=value("tc", st.just(0.04), st.just(1e-300) | _FLOATS),
+                      wc=value("wc", st.just(300e3), st.just(1e-300) | _FLOATS))
+    if simulating:
+        fields.update(trials=value("trials", st.integers(1, 3), st.integers(-1, 0)),
+                      seed=value("seed", st.sampled_from([0, 7, 2**64 - 1]), st.sampled_from([-1, 2**64])))
+    if command == "sweep":
+        edges = st.sampled_from([-2.0, 0.0, 12.5, -1e308, 1e308])  # a Monte Carlo Q axis from any float could draw 1 GB
+        start = value("start", st.sampled_from([1.0, 2.0, 8.0]), edges if mode == "simulate" else edges | _FLOATS)
+        fields.update(mode=mode, axis=draw(st.sampled_from(["snr_db", "Q", "L", "G"])), start=start,
+                      stop=start + draw(st.sampled_from([-1.0, 0.0, 1.0, 2.0])),
+                      step=value("step", st.sampled_from([0.5, 1.0]), st.sampled_from([-1.0, 0.0, 5e-324])))
+    fields = {name: value for name, value in fields.items() if value is not None}
+    in_config = draw(st.sets(st.sampled_from(sorted(fields))))
+    for name in in_config & {"precoder", "axis", "mode"} if "choice" in wild else ():
+        # config values are not checked by argparse: any case, and values outside the choices
+        fields[name] = draw(st.sampled_from([fields[name].upper(), "bogus"]))
+    return command, fields, in_config
+
+
+def _flag(name: str) -> str:
+    return "--lambda" if name == "lambda_states" else "--" + name.replace("_", "-")
+
+
+class TestTypedErrorProperty:
+    """On all five commands, with flags and a config file, every run computes finite rows or
+    fails with one error line naming an exception class that ccdl defines."""
+
+    @given(cli_run=_cli_runs())
+    @settings(max_examples=300, deadline=None)
+    @example(cli_run=("rate", dict(precoder="rzf", G=5, L=64, Q=16, snr_db=-3235.0), set()))
+    @example(cli_run=("gain", dict(precoder="MF", G=5, L=64, Q=16, snr_db=-3100.0), {"precoder", "snr_db"}))
+    @example(cli_run=("rate", dict(precoder="zf", G=1, L=10**6, Q=1, snr_db=3080.0), set()))
+    @example(cli_run=("simulate", dict(precoder="zf", G=2, L=16, Q=4, snr_db=3083.0, trials=3), set()))
+    @example(cli_run=("optimize", dict(precoder="rzf", G=0, L=10, snr_db=16.0, zeta=0.1), set()))
+    @example(cli_run=("optimize", dict(precoder="mf", G=16, L=16, snr_db=160.0, beta=5e-324, tc=2.0, wc=8.0), set()))
+    @example(cli_run=("rate", dict(precoder="zf", G=8, L=10, Q=1, snr_db=10.0, zeta=5e-324), {"zeta"}))
+    @example(cli_run=("simulate", dict(precoder="mf", G=160, L=64, Q=1600, snr_db=10.0, trials=1), set()))
+    @example(cli_run=("sweep", dict(mode="simulate", axis="G", start=-1.0, stop=1.0, step=1.0, precoder="zf", L=8,
+                                    Q=2, snr_db=10.0, trials=3), {"mode", "axis"}))
+    @example(cli_run=("sweep", dict(mode="RATE", axis="q", start=1.0, stop=2.0, step=1.0, precoder="bogus", L=8,
+                                    Q=2, G=2, snr_db=10.0), {"mode", "axis", "precoder"}))
+    def test_finite_rows_or_one_typed_error_line(self, tmp_path_factory, cli_run):
+        command, fields, in_config = cli_run
+        argv = [command, *(f"{_flag(name)}={value}" for name, value in fields.items() if name not in in_config)]
+        if in_config:
+            config = tmp_path_factory.getbasetemp() / "typed-error-property.json"
+            config.write_text(json.dumps({name: fields[name] for name in in_config}))
+            argv += ["--config", str(config)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            code = main(argv)
+        if code == 0:
+            rows = parse(out.getvalue().splitlines())
+            assert rows
+            for row in rows:
+                for col in CSV_COLUMNS:
+                    if col not in ("precoder", "source") and row[col] != "":
+                        assert math.isfinite(float(row[col])), (col, row)
+        else:
+            assert code == 1
+            assert out.getvalue() == "" and shown == []
+            line = re.fullmatch(r"error: (\w+): [^\n]*\n", err.getvalue())
+            assert line and line[1] in CCDL_ERRORS, err.getvalue()

@@ -11,7 +11,7 @@ report gives one line per command: whether stdout, stderr and the exit
 status are byte-identical, followed by the first differing lines of any
 stream that differs.  The exit status is 0 when every command matched.
 
-The list of 39 commands covers ``simulate`` and ``sweep --mode simulate``
+The list of 54 commands covers ``simulate`` and ``sweep --mode simulate``
 (MF, ZF, RZF; the trials=0 error; Q > L for MF; the ZF error at Q = L; a
 threaded Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits
 over 5 trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
@@ -25,7 +25,11 @@ feasible intervals that are empty (``--L 64`` at ``--zeta 2000`` for RZF,
 prefix of its cacheless side's), the RZF ``rate`` at 120, 130, 140 and 150
 dB (rows whose b is known to be low), its ``NonPositiveB`` errors at -90
 and 160 dB and its out-of-range error at -1545 dB, an RZF ``gain``
-at a ``fig3-L64`` point, ``power_factor(mode="montecarlo")`` for every precoder, the sha256
+at a ``fig3-L64`` point, the CLI's edges (a ``--config`` value of the wrong type, a
+``precoder``, ``axis`` and ``mode`` outside their choices, ``"precoder": "ZF"``, a malformed
+``--config`` file, MF ``rate`` at 3082, 3083, -3076 and -3077 dB, where the linear power
+10**(snr_db/10) overflows or turns subnormal, and each command's ``--help``),
+``power_factor(mode="montecarlo")`` for every precoder, the sha256
 digests of ``build_precoder`` (ZF, RZF) and of ``gram_powers``' signal and
 interference powers (MF, ZF, RZF, stacked alphas) on fixed seeded draws,
 the ZF accept/reject decisions of ``build_precoder`` and ``stage_sinrs`` on
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -51,6 +56,34 @@ _OPT_SWEEP = [*_CLI, "sweep", "--mode", "optimize", "--precoder", "all", "--G", 
               "--axis", "snr_db", "--start", "-10", "--stop", "40", "--step", "5"]
 _OPT = [*_CLI, "optimize", "--G", "5", "--snr-db", "10"]
 _RZF_RATE = [*_CLI, "rate", "--precoder", "rzf", "--G", "5", "--L", "64", "--Q", "16"]
+_SHAPE = ["--G", "5", "--L", "64", "--Q", "16"]
+_MF_RATE = [*_CLI, "rate", "--precoder", "mf", *_SHAPE]
+
+# ccdl.expcli.main on the argv after the JSON text, plus --config naming that text as spec.json in a scratch cwd
+_CONFIG_RUN = """
+import os, sys, tempfile
+from ccdl.expcli import main
+with tempfile.TemporaryDirectory() as scratch:
+    os.chdir(scratch)
+    with open("spec.json", "w") as fh:
+        fh.write(sys.argv[1])
+    code = main([*sys.argv[2:], "--config", "spec.json"])
+sys.exit(code)
+"""
+
+
+def _with_config(text: str, argv: list[str]) -> list[str]:
+    return ["-c", _CONFIG_RUN, text, *argv]
+
+
+def _sweep_config(flag: str, value: str) -> list[str]:
+    """A two-point rate sweep over snr_db whose config file sets ``flag``'s field, with that flag left out (it would
+    override the file)."""
+    choices = {"--precoder": "zf", "--axis": "snr_db", "--mode": "rate"}
+    del choices[flag]
+    return _with_config(json.dumps({flag[2:]: value}), ["sweep", *_SHAPE, "--start", "0", "--stop", "1", "--step", "1",
+                                                        *(x for item in choices.items() for x in item)])
+
 
 _POWER_FACTORS = """
 from ccdl.channel import RngSeed
@@ -139,6 +172,15 @@ COMMANDS = [
       for snr_db in ("120", "130", "140", "150", "-90", "160", "-1545")],
     ("gain rzf fig3-L64 12 dB", [*_CLI, "gain", "--precoder", "rzf", "--G", "6", "--L", "64", "--Q", "8",
                                  "--snr-db", "12", "--beta", "10", "--tc", "0.04", "--wc", "300e3"], None),
+    ("config L of wrong type", _with_config('{"L": "64"}', ["rate", "--precoder", "mf", *_SHAPE, "--snr-db", "10"]),
+     None),
+    *[(f"config {flag[2:]} {value}", _sweep_config(flag, value), None)
+      for flag, value in (("--precoder", "bogus"), ("--axis", "q"), ("--mode", "RATE"))],
+    ("config precoder ZF", _with_config('{"precoder": "ZF"}', ["rate", *_SHAPE, "--snr-db", "10"]), None),
+    *[(f"rate mf {snr_db} dB", [*_MF_RATE, "--snr-db", snr_db], None) for snr_db in ("3082", "3083", "-3076", "-3077")],
+    ("config malformed", _with_config("{bad", ["rate"]), None),
+    *[(f"{command} --help", [*_CLI, command, "--help"], None)
+      for command in ("rate", "simulate", "optimize", "gain", "sweep")],
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
     ("precoder bits", ["-c", _PRECODER_BITS], None),
     ("ZF rank decisions", ["-c", _RANK_DECISIONS], None),
