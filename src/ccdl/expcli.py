@@ -135,8 +135,8 @@ class ExperimentSpec:
     command: str
     precoder: str | None = _flag("all gives one row each", choices=(*ALL_PRECODERS, "all"), any_case=True)
     L: int | None = _flag("transmit antennas", bounds=(">= 1", _EXACT))
-    Q: int | None = _flag("streams per group", bounds=(_EXACT,))
-    q_prime: int | None = _flag("cacheless-side stream count (gain; default Q)", bounds=(_EXACT,))
+    Q: int | None = _flag("streams per group", bounds=(">= 1", _EXACT))
+    q_prime: int | None = _flag("cacheless-side stream count (gain; default Q)", bounds=(">= 1", _EXACT))
     G: int | None = _flag("groups served per transmission", bounds=(">= 1", _EXACT))
     lambda_states: int | None = _flag("cache states, with --gamma in place of --G", spelling="--lambda",
                                       bounds=(_EXACT,))
@@ -393,7 +393,10 @@ def _sweep_rows(spec: ExperimentSpec) -> list[dict]:
 
 
 def _write_csv(rows: list[dict], out: str | None) -> None:
-    stream = open(out, "w", newline="") if out else sys.stdout
+    try:
+        stream = open(out, "w", newline="") if out else sys.stdout
+    except OSError as exc:
+        raise SpecError(f"--out {out!r} cannot be written: {exc.strerror}") from None
     try:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

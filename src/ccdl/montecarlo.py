@@ -74,31 +74,36 @@ def _rows(n: int, sig: np.ndarray, intf: np.ndarray, traces: np.ndarray) -> tupl
     return sig.reshape(n, -1), intf.reshape(n, -1), traces.reshape(n, -1).sum(axis=-1)
 
 
-_STACK = PrecoderKind.rzf()  # the stacked inverse takes its alphas, ZF's 0 included, and no rank rule
-
-
 class _Draw:
     """One trial draw: the G Gram matrices ``W``, and the pass's ZF and RZF rows inverted in one call.
 
-    ``inverted()`` runs :func:`ccdl.precoding._regularized_inverse` on W
-    once with the pass's stacked ``shift`` (ZF's 0 I first), for whichever kernel
-    asks first, and keeps (R, M, kernel rows of the powers) for the other;
-    it is None where some W + alpha I is singular.
+    ``inverted()`` runs :func:`ccdl.precoding._regularized_inverse` on W once with the pass's
+    ``alphas`` (ZF's 0 first), for whichever kernel asks first, and keeps the kernel rows of the
+    powers, read from R alone, and ZF's rank-rule error or None, for the others; R itself lives in a
+    per-thread work array that the next inverse overwrites.  It is None where some W + alpha I is
+    not positive definite.
     """
 
-    __slots__ = ("W", "_shift", "_inverted")
+    __slots__ = ("W", "_alphas", "_inverted")
 
-    def __init__(self, W: np.ndarray, shift: np.ndarray):
-        self.W, self._shift, self._inverted = W, shift, False
+    def __init__(self, W: np.ndarray, alphas: np.ndarray):
+        self.W, self._alphas, self._inverted = W, alphas, False
 
     def inverted(self):
         if self._inverted is False:
             try:
-                R, M = precoding._regularized_inverse(self.W, _STACK, self._shift)
+                R = precoding._regularized_inverse(self.W, self._alphas)
             except precoding.RankDeficient:
                 self._inverted = None
             else:
-                self._inverted = R, M, _rows(len(self._shift), *precoding._inverse_powers(R, M))
+                zf_error = None
+                if self._alphas[0] == 0:
+                    try:
+                        precoding._zf_rank_rule(self.W, R[0])
+                    except precoding.RankDeficient as exc:
+                        zf_error = exc
+                powers = precoding._inverse_powers(self.W, R, self._alphas)
+                self._inverted = _rows(len(self._alphas), *powers), zf_error
         return self._inverted
 
 
@@ -107,7 +112,7 @@ def _kernel(kinds: list[PrecoderKind], first: int):
 
     ZF and RZF take their rows of the draw's stacked inverse, from row
     ``first`` on, and ZF's rank rule reads ZF's row alone.  Where the
-    stack is singular (at ZF's alpha = 0), each kind inverts by itself, as
+    stack is not positive definite (at ZF's alpha = 0), each kind inverts by itself, as
     MF always computes alone; so a draw that ZF rejects moves neither MF
     nor RZF, and every row is bit-equal to its kind's own
     :func:`ccdl.precoding.gram_powers` call.
@@ -119,9 +124,9 @@ def _kernel(kinds: list[PrecoderKind], first: int):
         inverted = None if kind.name == "MF" else draw.inverted()
         if inverted is None:
             return _rows(n, *precoding.gram_powers(draw.W, kind, alphas))
-        R, M, powers = inverted
-        if kind.name == "ZF":
-            precoding._zf_rank_rule(R[rows], M[rows])
+        powers, zf_error = inverted
+        if kind.name == "ZF" and zf_error is not None:
+            raise zf_error
         return tuple(p[rows] for p in powers)
 
     return kernel
@@ -168,10 +173,9 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
             for kind in rows[start : start + per_pass]:
                 groups.setdefault(kind.name, []).append(kind)
             stack = [*groups.get("ZF", ()), *groups.get("RZF", ())]
-            alphas = [kind.alpha or 0.0 for kind in stack]  # ZF's alpha is None
-            shift = precoding._shift(alphas, Q, 3, np.complex128)  # wishart_gram's (G, Q, Q) complex stack
+            alphas = np.array([kind.alpha or 0.0 for kind in stack])  # ZF's alpha is None
             kernels = [_kernel(kinds, stack.index(kinds[0]) if kinds[0] in stack else 0) for kinds in groups.values()]
-            draw = lambda gen: _Draw(wishart_gram(gen, G, Q, L), shift)  # noqa: E731
+            draw = lambda gen: _Draw(wishart_gram(gen, G, Q, L), alphas)  # noqa: E731
             columns = seeded_map(draw, kernels, trials, seed, len(stack) * G * Q**3)
             for kinds, per_trial in zip(groups.values(), columns):  # (sig, intf, traces) of each trial
                 for a, kind in enumerate(kinds):
@@ -245,7 +249,7 @@ def deterministic_equivalent_check(
     alpha = L / p_t
 
     def quadratic_form(W: np.ndarray) -> float:
-        r00 = np.linalg.inv(W + alpha * np.eye(Q))[0, 0].real
+        r00 = precoding._regularized_inverse(W, alpha)[0, 0].real
         return float(1.0 / (alpha * r00) - 1.0)
 
     (values,) = seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [quadratic_form], trials, seed, Q**3)

@@ -6,16 +6,21 @@ transmission stage, and checks numerically that cached side information
 removes the inter-group component of the received signal exactly.  ZF is
 RZF's alpha = 0 member; the precoder H^H R and the Gram-space powers share
 one inverse R = (W + alpha I)^-1, so they make one rank decision per draw.
+From Q = 48 on, R is a Cholesky inverse made in place through numpy's
+bundled LAPACKE (``np.linalg.inv`` below that, or without it), and the
+powers are read from W and R alone, without the product W R.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ccdl import analytic
+from ccdl import _parallel, analytic
 from ccdl.channel import RankDeficient, RngSeed, complex_gaussian, seeded_map, wishart_gram
 from ccdl.scheme import ValidatedScheme
 
@@ -74,7 +79,10 @@ def build_precoder(H: np.ndarray, kind: PrecoderKind) -> np.ndarray:
     """
     if kind.name == "MF":
         return H.conj().T
-    R, _ = _regularized_inverse(H @ H.conj().T, kind)
+    W = H @ H.conj().T
+    R = _regularized_inverse(W, _alphas(kind))
+    if kind.name == "ZF":
+        _zf_rank_rule(W, R)
     return H.conj().T @ R
 
 
@@ -135,72 +143,140 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndar
 
     ``W`` stacks Q x Q Gram matrices H H^H (shape (..., Q, Q)); every
     quantity depends on the channel H only through W, since with
-    V = H^H R the effective channel is H V = W R: R = I for MF and
+    V = H^H R the effective channel is M = H V = W R: R = I for MF and
     (W + alpha I)^-1 for RZF, with ZF its alpha = 0 member.  User k's signal
-    power is |[W R]_kk|^2 and its interference the sum over j != k of
-    |[W R]_kj|^2; scaling both by rho^2/G gives the stage SINR.  Returns
+    power is |M_kk|^2 and its interference the sum over j != k of
+    |M_kj|^2; scaling both by rho^2/G gives the stage SINR.  Returns
     arrays of shape (..., Q), (..., Q) and (...).  ZF's rank rule raises
     :class:`RankDeficient` when W is singular or W R strays from the
     identity; RZF rows skip it.  RZF takes n stacked ``alphas`` in place of
     ``kind.alpha``, adding a leading axis of size n; MF and ZF ignore them.
     """
+    W = np.ascontiguousarray(W, dtype=complex)
     if kind.name == "MF":
-        return _powers(W, np.trace(W, axis1=-2, axis2=-1).real)
-    shift = None if alphas is None else _shift(alphas, W.shape[-1], W.ndim, W.dtype)
-    return _inverse_powers(*_regularized_inverse(W, kind, shift))
-
-
-def _inverse_powers(R: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`gram_powers` of a ZF or RZF stack from its inverse R and effective channel M = W R."""
-    # not I - alpha R or Tr R - alpha ||R||_F^2: both cancel when alpha = L / p_t is large (low SNR)
-    return _powers(M, np.einsum("...ij,...ji->...", R, M).real)
-
-
-def _powers(M: np.ndarray, trace: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    P = np.abs(M) ** 2
-    sig = np.diagonal(P, axis1=-2, axis2=-1).copy()
-    return sig, P.sum(axis=-1) - sig, trace
-
-
-def _regularized_inverse(W: np.ndarray, kind: PrecoderKind, shift=None):
-    """R = (W + alpha I)^-1 and the effective channel M = W R, for Gram matrices W.
-
-    ZF is alpha = 0; RZF takes ``kind.alpha``, or ``shift``, a stacked
-    alpha I from :func:`_shift`.  A singular W + alpha I raises
-    :class:`RankDeficient`, and so does the ZF rank rule: an R that is not
-    finite or an M more than 1e-6 from I.
-    """
+        d = np.diagonal(W, axis1=-2, axis2=-1).real
+        return d * d, _off_diagonal_power(W, 1.0), d.sum(axis=-1)
+    alphas = _alphas(kind, alphas)
+    R = _regularized_inverse(W, alphas)
     if kind.name == "ZF":
-        shift = 0.0 * np.eye(W.shape[-1])
-    elif shift is None:
+        _zf_rank_rule(W, R)
+    return _inverse_powers(W, R, alphas)
+
+
+def _alphas(kind: PrecoderKind, alphas=None) -> np.ndarray:
+    """The regularization weights of a ZF or RZF kind as an array: 0 for ZF, ``kind.alpha`` or ``alphas`` for RZF."""
+    if kind.name == "ZF":
+        return np.zeros(())
+    if alphas is None:
         if kind.alpha is None:
             raise ValueError("RZF kind needs alpha resolved (use PrecoderKind.rzf(alpha) or resolve_alpha)")
-        shift = kind.alpha * np.eye(W.shape[-1])
-    try:
-        R = np.linalg.inv(W + shift)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient(f"singular Gram matrix in {kind.name} precoder") from exc
-    M = W @ R
-    if kind.name == "ZF":
-        _zf_rank_rule(R, M)
-    return R, M
+        alphas = kind.alpha
+    return np.asarray(alphas, dtype=float)
 
 
-def _shift(alphas, Q: int, ndim: int, dtype) -> np.ndarray:
-    """One alpha I per entry of ``alphas``, stacked on a new leading axis, for Gram stacks W of ``dtype`` with ``ndim`` axes.
+def _inverse_powers(W: np.ndarray, R: np.ndarray, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`gram_powers` of a ZF or RZF stack from W and R = (W + alpha I)^-1 alone, one row per alpha.
 
-    Built in the type of W + alpha I, so that W plus it is W + alpha I bit
-    for bit without casting a float alpha I to W's complex type on every
-    addition; a caller that adds it to many draws builds it once.
+    M = W R = I - alpha R, so M's off-diagonal entries are -alpha R_kj exactly: interference is the
+    masked sum of |alpha R_kj|^2, which keeps its relative accuracy at every SNR, where a row sum
+    minus |M_kk|^2 cancels as the SNR rises, and does not overflow, where alpha^2 |R|^2 does at
+    -1545 dB.  M_kk is row k of W against row k of R, real as both are Hermitian, and
+    Tr{R W R} = sum_k R_kk M_kk - sum_{j != k} alpha |R_kj|^2.
     """
-    scale = np.reshape(alphas, (-1,) + (1,) * ndim)
-    return (scale * np.eye(Q)).astype(np.result_type(dtype, np.float64))
+    a = np.reshape(alphas, alphas.shape + (1,) * (W.ndim - 1))
+    m = np.multiply(W.view(float), R.view(float), out=_work("powers", R.shape[:-1] + (2 * W.shape[-1],), float))
+    m_kk = m.sum(axis=-1)
+    intf = _off_diagonal_power(R, a[..., None])
+    per_user = np.diagonal(R, axis1=-2, axis2=-1).real * m_kk
+    per_user -= np.divide(intf, a, out=np.zeros_like(intf), where=a > 0)
+    return m_kk * m_kk, intf, per_user.sum(axis=-1)
 
 
-def _zf_rank_rule(R: np.ndarray, M: np.ndarray) -> None:
-    """Raise :class:`RankDeficient` where ZF's inverse R is not finite or M = W R is more than 1e-6 from I."""
-    err = np.abs(M - np.eye(M.shape[-1])).max()
-    if not (np.isfinite(R).all() and err <= 1e-6):
+def _off_diagonal_power(X: np.ndarray, scale) -> np.ndarray:
+    """Sum over j != k of |scale X_kj|^2, per row k of a contiguous complex stack X (the diagonal masked, not subtracted)."""
+    Q = X.shape[-1]
+    P = np.multiply(X.view(float), scale, out=_work("powers", X.shape[:-1] + (2 * Q,), float))
+    np.square(P, out=P)
+    flat = P.reshape(P.shape[:-2] + (2 * Q * Q,))
+    flat[..., :: 2 * Q + 2] = flat[..., 1 :: 2 * Q + 2] = 0.0  # real and imaginary parts of X_kk
+    return P.sum(axis=-1)
+
+
+_THREAD_WORK = threading.local()
+_WORK_BYTES = 2**23  # largest work array a thread keeps between calls; past it the Q^3 inverse dwarfs faulting it in
+
+
+def _work(name: str, shape: tuple, dtype) -> np.ndarray:
+    """The calling thread's work array ``name`` of this rank, reused while its shape holds.
+
+    Kept per thread so that a trial's arrays are not handed back to the system and faulted in again
+    by the next trial; per rank so that a pass's MF powers (G, Q, 2Q) and its stacked ZF and RZF
+    powers (n, G, Q, 2Q) do not evict each other.  Contents never carry over between calls.
+    """
+    kept = _THREAD_WORK.__dict__
+    array = kept.get((name, len(shape)))
+    if array is None or array.shape != shape:
+        array = np.empty(shape, dtype)
+        if array.nbytes <= _WORK_BYTES:
+            kept[name, len(shape)] = array
+    return array
+
+
+def _regularized_inverse(W: np.ndarray, alphas) -> np.ndarray:
+    """R = (W + alpha I)^-1 for a stack of Hermitian Gram matrices W, one stack per alpha.
+
+    Returns shape ``np.shape(alphas) + W.shape``, in the calling thread's work array: it holds until the
+    thread's next call.  ZF is alpha = 0.  From Q = ``_CHOLESKY_MIN_Q`` on, each W + alpha I is inverted
+    in place by Cholesky (LAPACK zpotrf, then zpotri), reading W's lower triangle; a matrix that is not
+    positive definite raises :class:`RankDeficient`.  Below it, or where numpy bundles no LAPACKE,
+    ``np.linalg.inv`` inverts instead and raises on exactly singular matrices alone; ZF's rank rule
+    covers the rest on either path.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    Q = W.shape[-1]
+    R = _work("inverse", alphas.shape + W.shape, complex)
+    np.copyto(R, W)
+    diagonal = R.reshape(R.shape[:-2] + (Q * Q,))[..., :: Q + 1]
+    diagonal += np.reshape(alphas, alphas.shape + (1,) * (W.ndim - 1))
+    lapack = _parallel.cholesky_lapack() if Q >= _CHOLESKY_MIN_Q else None
+    if lapack is None:
+        try:
+            R[...] = np.linalg.inv(R)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficient("singular Gram matrix") from exc
+        return R
+    potrf, potri = lapack
+    # Column-major 'U' on the row-major buffer is the row-major lower triangle: the same Hermitian inverse,
+    # without the transposed copy LAPACKE's row-major entry makes on every call.
+    start, step = R.ctypes.data, 16 * Q * Q
+    with _parallel.one_blas_thread():  # OpenBLAS's zpotri rounds differently on more threads, even at Q = 8
+        for address in range(start, start + R.nbytes, step):
+            if potrf(_COL_MAJOR, b"U", Q, address, Q) or potri(_COL_MAJOR, b"U", Q, address, Q):
+                raise RankDeficient("Gram matrix plus alpha I not positive definite")
+    upper = np.conjugate(np.swapaxes(R, -1, -2), out=_work("transpose", R.shape, complex))
+    np.copyto(R, upper, where=_strictly_upper(Q))
+    return R
+
+
+_COL_MAJOR = 102  # LAPACKE's LAPACK_COL_MAJOR
+# Least Q inverted by Cholesky.  Alone it wins at every Q (218 against 291 us per (6, 5, 16, 16) stack), but
+# it makes two ctypes calls per matrix where inv makes one call per stack, and on trial threads inv/Cholesky
+# ms per trial read 0.47 at mc-hardening's (5, 16, 256) x 6 alphas, 0.85 at Q = 24, 0.89 at 32, 1.05 at 48
+# and 1.28 at 64 (c = 1/2 RZF; tools/thread_gate.py, BENCH_21.json).
+_CHOLESKY_MIN_Q = 48
+
+
+@functools.lru_cache(maxsize=64)
+def _strictly_upper(Q: int) -> np.ndarray:
+    mask = np.triu(np.ones((Q, Q), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _zf_rank_rule(W: np.ndarray, R: np.ndarray) -> None:
+    """Raise :class:`RankDeficient` where ZF's W R is not finite or more than 1e-6 from I."""
+    err = np.abs(W @ R - np.eye(W.shape[-1])).max()
+    if not err <= 1e-6:
         raise RankDeficient(f"ZF inverse not finite or identity residual {err:.2e} > 1e-6 on a near-singular draw")
 
 

@@ -231,6 +231,19 @@ class TestErrors:
         assert err == f"error: SpecError: {message}\n"
 
     @pytest.mark.parametrize("argv, message", [
+        (("rate", "--Q", "0"), "--Q must be >= 1, got 0"),
+        (("gain", "--Q", "16", "--q-prime", "0"), "--q-prime must be >= 1, got 0"),
+        (("rate", "--Q", "16", "--out", "/nonexistent/x.csv"),
+         "--out '/nonexistent/x.csv' cannot be written: No such file or directory"),
+        (("rate", "--Q", "16", "--out", "."), "--out '.' cannot be written: Is a directory"),
+    ], ids=["Q=0", "q-prime=0", "out-missing-directory", "out-directory"])
+    def test_stream_counts_and_out_name_the_flag(self, capsys, argv, message):
+        # each once failed as COutOfRange naming c, or with a builtin OSError
+        code, lines, err = run_cli(capsys, *argv, "--precoder", "zf", "--G", "5", "--L", "64", "--snr-db", "10")
+        assert (code, lines) == (1, [])
+        assert err == f"error: SpecError: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
         (("optimize", "--precoder", "rzf", "--G", "0", "--L", "10", "--snr-db", "16", "--zeta", "0.1"),
          "SpecError: --G must be >= 1, got 0"),
         (("simulate", "--precoder", "zf", "--G", "-2", "--L", "16", "--Q", "4", "--snr-db", "10", "--trials", "10"),
@@ -552,23 +565,23 @@ class TestSharedEnsembles:
         code, lines, _ = run_cli(capsys, *HARDENING)
         assert code == 0
         calls = _counting_draws(monkeypatch)
-        shifts, shift = [], montecarlo.precoding._shift
+        stacks, draw = [], montecarlo._Draw
 
-        def kept_shift(*args):
-            shifts.append(shift(*args))
-            return shifts[-1]
+        def kept_alphas(W, alphas):
+            stacks.append(alphas)
+            return draw(W, alphas)
 
-        monkeypatch.setattr(montecarlo.precoding, "_shift", kept_shift)
+        monkeypatch.setattr(montecarlo, "_Draw", kept_alphas)
         # every kernel row (MF, ZF and each of the 5 RZF alphas) stores two (trials, G*Q) float arrays, and each
         # ZF and RZF row adds a (G, Q, Q) complex stack to one draw's inverse
         for cap, row_bytes in (("_PASS_BYTES", 2 * 100 * 5 * 16 * 8), ("_INVERSE_BYTES", 16 * 5 * 16 * 16)):
             calls.clear()
-            shifts.clear()
+            stacks.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(montecarlo, cap, rows_per_pass * row_bytes)
                 assert run_cli(capsys, *HARDENING) == (0, lines, ""), cap
             assert len(calls) == passes * 100, cap
-            assert 0 < max(len(s) for s in shifts) <= rows_per_pass, cap
+            assert 0 < max(len(s) for s in stacks) <= rows_per_pass, cap
 
 
 class TestOutputStability:
@@ -694,7 +707,7 @@ CCDL_ERRORS = {obj.__name__ for module in (analytic, channel, expcli, montecarlo
 _EDGE_SNRS = [-3236.0, -3100.0, -3077.0, -3076.0, -1545.0, -90.0, 160.0, 1600.0, 3080.0, 3082.0, 3083.0]
 # Fields that may take edge values, which can be out of domain; "choice" stands for --precoder, --axis and --mode
 _WILD = ("L", "Q", "q_prime", "G", "lambda_states", "K", "gamma", "snr_db", "zeta", "beta", "tc", "wc", "trials",
-         "seed", "start", "step", "choice")
+         "seed", "start", "step", "choice", "out")
 
 
 @st.composite
@@ -720,6 +733,7 @@ def _cli_runs(draw):
         G=value("G", st.none() if scheme else count, st.none() | edge_count),
         snr_db=value("snr_db", st.floats(-30, 60), st.sampled_from(_EDGE_SNRS) | _FLOATS),
         zeta=value("zeta", st.none() | st.sampled_from([0.0, 0.01, 0.3]), st.sampled_from([1e-300, 1e300]) | _FLOATS),
+        out=value("out", st.none(), st.sampled_from(["/nonexistent/x.csv", "."])),  # a wild --out is unwritable
     )
     if scheme:
         fields.update(lambda_states=value("lambda_states", count, edge_count),
@@ -757,6 +771,7 @@ class TestTypedErrorProperty:
     @given(cli_run=_cli_runs())
     @settings(max_examples=300, deadline=None)
     @example(cli_run=("rate", dict(precoder="rzf", G=5, L=64, Q=16, snr_db=-3235.0), set()))
+    @example(cli_run=("rate", dict(precoder="mf", G=5, L=64, Q=16, snr_db=10.0, out="/nonexistent/x.csv"), set()))
     @example(cli_run=("gain", dict(precoder="MF", G=5, L=64, Q=16, snr_db=-3100.0), {"precoder", "snr_db"}))
     @example(cli_run=("rate", dict(precoder="zf", G=1, L=10**6, Q=1, snr_db=3080.0), set()))
     @example(cli_run=("simulate", dict(precoder="zf", G=2, L=16, Q=4, snr_db=3083.0, trials=3), set()))

@@ -16,7 +16,7 @@ from ccdl.montecarlo import (
     estimate_sum_rate,
     estimate_sum_rates,
 )
-from ccdl.precoding import PrecoderKind, _shift, gram_powers, power_factor
+from ccdl.precoding import PrecoderKind, gram_powers, power_factor
 from ccdl.scheme import scheme_for_gain
 
 
@@ -195,7 +195,7 @@ def _pass_kernels(alphas: list[float]):
     rzf = [PrecoderKind.rzf(a) for a in alphas]
     kernels = [montecarlo._kernel([PrecoderKind.mf()], 0), montecarlo._kernel([PrecoderKind.zf()], 0),
                montecarlo._kernel(rzf, 1)]
-    return (lambda W: montecarlo._Draw(W, _shift([0.0, *alphas], W.shape[-1], W.ndim, W.dtype))), kernels, rzf
+    return (lambda W: montecarlo._Draw(W, np.array([0.0, *alphas]))), kernels, rzf
 
 
 class TestStackedInverse:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ccdl import _parallel, precoding
 from ccdl.analytic import rzf_deterministics
 from ccdl.channel import RngSeed, SingularDraw, draw_channel, wishart_gram
 from ccdl.precoding import (
@@ -210,6 +211,116 @@ class TestGramPowers:
         # ZF takes RZF's trace Tr(R W R), which equals Tr W^-1 = sum 1/lambda
         exact = np.sum(1.0 / np.linalg.eigvalsh(W), axis=-1)
         assert np.max(np.abs(solos[0][2] - exact) / exact) <= 1e-13
+
+
+def _eigh_powers(W: np.ndarray, alpha: float):
+    """Reference RZF powers of one Gram matrix from its eigendecomposition W = U diag(lam) U^H.
+
+    M = U diag(f) U^H and alpha R = U diag(g) U^H with f = lam / (lam + alpha) and g = alpha / (lam + alpha),
+    and M's off-diagonal entries are -alpha R's: they are read from whichever of the two has the smaller norm,
+    so that neither SNR end loses them to rounding of the other's unit-size entries.
+    """
+    lam, U = np.linalg.eigh(W)
+    f, g = lam / (lam + alpha), alpha / (lam + alpha)
+    m_kk = (np.abs(U) ** 2) @ f
+    off = np.abs((U * (f if f.max() <= g.max() else g)) @ U.conj().T) ** 2
+    np.fill_diagonal(off, 0.0)
+    return m_kk**2, off.sum(axis=-1), np.sum(lam / (lam + alpha) ** 2)
+
+
+def _counted_lapack(monkeypatch) -> list:
+    """Record each LAPACK call that _regularized_inverse makes from now on."""
+    lapack = _parallel.cholesky_lapack()
+    if lapack is None:
+        pytest.skip("numpy bundles no LAPACKE here")
+    calls = []
+
+    def counted(fn):
+        def call(*args):
+            calls.append(fn)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(_parallel, "cholesky_lapack", lambda: tuple(map(counted, lapack)))
+    return calls
+
+
+class TestCholeskyInverse:
+    @pytest.mark.parametrize("G, Q, L", [(5, 16, 32), (5, 64, 128)])
+    def test_powers_match_eigh_reference(self, monkeypatch, G, Q, L):
+        # signal, interference and trace within 1e-12 relative from -100 to 120 dB, below and above the Cholesky
+        # threshold; a row sum minus |M_kk|^2 lost interference to cancellation (1e-4 at 60 dB, all of it at 90)
+        calls = _counted_lapack(monkeypatch)
+        W = wishart_gram(RngSeed(21).generator(), G, Q, L)
+        for snr_db in range(-100, 121, 10):
+            alpha = L / 10 ** (snr_db / 10)
+            got = gram_powers(W, PrecoderKind.rzf(alpha))
+            want = [np.stack(part) for part in zip(*(_eigh_powers(W[g], alpha) for g in range(G)))]
+            for name, a, b in zip(("sig", "intf", "trace"), got, want):
+                assert np.max(np.abs(a - b) / b) <= 1e-12, (snr_db, name)
+        assert bool(calls) == (Q >= precoding._CHOLESKY_MIN_Q)
+
+    def test_fallback_agrees_and_makes_the_same_rank_decisions(self, monkeypatch):
+        # the np.linalg.inv path where numpy bundles no LAPACKE: the same powers within 1e-12, and the same
+        # ZF and RZF rejections on full-rank draws, on Q > L, and on a repeated or a zero row and column
+        G, Q, L = 3, 64, 96
+        draws = [wishart_gram(RngSeed(22, t).generator(), G, Q, L) for t in range(4)]
+        draws.append(wishart_gram(RngSeed(23).generator(), G, Q, Q - 8))
+        repeated, zero = draws[0].copy(), draws[1].copy()
+        repeated[1, 1, :], repeated[1, :, 1] = repeated[1, 0, :], repeated[1, :, 0]
+        repeated[1, 1, 1] = repeated[1, 0, 0]
+        zero[2, -1, :] = zero[2, :, -1] = 0
+        draws += [repeated, zero]
+        kinds = [PrecoderKind.zf(), PrecoderKind.rzf(L / 10.0), PrecoderKind.rzf(L * 1e-3)]
+
+        def outcomes():
+            results = []
+            for W in draws:
+                for kind in kinds:
+                    try:
+                        results.append(gram_powers(W, kind))
+                    except RankDeficient:
+                        results.append(None)
+            return results
+
+        calls = _counted_lapack(monkeypatch)
+        cholesky = outcomes()
+        assert calls
+        monkeypatch.setattr(_parallel, "cholesky_lapack", lambda: None)
+        fallback = outcomes()
+        assert [r is None for r in cholesky] == [r is None for r in fallback]
+        assert [r is None for r in cholesky[:12]] == [False] * 12 and cholesky[12] is None
+        for got, want in zip(cholesky, fallback):
+            for a, b in zip(got or (), want or ()):
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_zf_more_streams_than_antennas_rejected_on_the_cholesky_side(self, monkeypatch):
+        calls = _counted_lapack(monkeypatch)
+        H = draw_channel(64, 48, RngSeed(24))
+        with pytest.raises(RankDeficient):
+            gram_powers((H @ H.conj().T)[None], PrecoderKind.zf())
+        with pytest.raises(RankDeficient):
+            build_precoder(H, PrecoderKind.zf())
+        assert calls
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS's zpotri rounds differently on two threads; each inverse pins one
+        blas = _parallel._openblas()
+        if blas is None or _parallel.cholesky_lapack() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set here")
+        get, set_ = blas
+        W = wishart_gram(RngSeed(25).generator(), 5, 64, 128)
+        with _parallel.one_blas_thread():
+            pinned = gram_powers(W, PrecoderKind.rzf(), [0.0, 12.8])
+        previous = get()
+        set_(2)
+        try:
+            free = gram_powers(W, PrecoderKind.rzf(), [0.0, 12.8])
+            assert get() == 2
+        finally:
+            set_(previous)
+        assert all(np.array_equal(a, b) for a, b in zip(pinned, free))
 
 
 class TestStageSinrs:

@@ -2,7 +2,7 @@
 """Paired parent-versus-change runs of the perfbench workloads, summarized as one BENCH JSON file.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --pairs 10 --seconds 20 --seed 6000 \
-        --out BENCH_7.json --tier1 --criterion3 5 --thread-gate
+        --out BENCH_7.json --tier1 --criterion3 5 --thread-gate --layers
 
 DIR is the root of a checkout (for instance a ``git archive`` of each
 commit).  Pair i runs every workload once per tree with the fresh seed
@@ -19,8 +19,12 @@ criterion 3 alone, optionally records the change tree's
 ``tools/thread_gate.py`` table, optionally makes one ``--trace 1`` run per
 tree of each ``--traced`` workload (its per-layer metrics, and the count and
 summed milliseconds of each span name per traced call), and records
-provenance from ``perfbench/provenance.collect``.  Runs are sequential: one
-process at a time.
+provenance from ``perfbench/provenance.collect``.  ``--layers`` adds layer rows
+over three alternating rounds: each tree's microseconds per Gram stack for the
+RZF kernel, ``np.linalg.inv`` and (where the tree has it) the Cholesky inverse
+at (5, 64, 128) and (5, 16, 256), and each workload's minor page faults, CPU
+and system seconds per CLI call, in-process after an untimed first call.
+Runs are sequential: one process at a time.
 """
 
 from __future__ import annotations
@@ -57,6 +61,86 @@ with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
     status = ccdl.expcli.main(argv)
 print(json.dumps({"argv": argv, "status": status, "wishart_gram_calls": calls[0]}))
 """
+
+
+# Minor page faults, CPU and system seconds per CLI call of one workload, in-process, after an untimed first call.
+_PER_CALL = """
+import contextlib, io, json, resource, sys, warnings
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/perfbench"]
+import ccdl.expcli
+from workloads import WORKLOADS
+workload, seed, calls = WORKLOADS[sys.argv[2]], int(sys.argv[3]), int(sys.argv[4])
+def usage():
+    u = resource.getrusage(resource.RUSAGE_SELF)
+    return u.ru_minflt, u.ru_utime + u.ru_stime, u.ru_stime
+with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    ccdl.expcli.main(workload.argv(seed, 0))
+    before = usage()
+    for i in range(1, calls + 1):
+        ccdl.expcli.main(workload.argv(seed, i))
+    after = usage()
+faults, cpu_s, system_s = ((b - a) / calls for a, b in zip(before, after))
+print(json.dumps({"minor_faults": faults, "cpu_s": cpu_s, "system_s": system_s}))
+"""
+
+# Best-of-9 microseconds per stack on one BLAS thread: gram_powers' RZF kernel over an alpha stack,
+# np.linalg.inv of W + alpha I, and, where the tree has it, the Cholesky inverse forced on.
+_STACKS = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1] + "/src")
+import numpy as np
+from ccdl import _parallel, precoding
+from ccdl.channel import RngSeed, wishart_gram
+from ccdl.precoding import PrecoderKind
+def best_us(fn, number=50):
+    times = []
+    for _ in range(9):
+        start = time.perf_counter()
+        for _ in range(number):
+            fn()
+        times.append((time.perf_counter() - start) / number)
+    return 1e6 * min(times)
+rows = {}
+with _parallel.one_blas_thread():
+    for G, Q, L, snrs in ((5, 64, 128, [10.0]), (5, 16, 256, [None, 0.0, 5.0, 10.0, 15.0, 20.0])):
+        alphas = [0.0 if snr is None else L / 10 ** (snr / 10) for snr in snrs]  # None: ZF's row
+        W = wishart_gram(RngSeed(1).generator(), G, Q, L)
+        shift = np.reshape(alphas, (-1, 1, 1, 1)) * np.eye(Q)
+        row = {"kernel_us": best_us(lambda: precoding.gram_powers(W, PrecoderKind.rzf(), alphas)),
+               "inv_us": best_us(lambda: np.linalg.inv(W + shift))}
+        if hasattr(precoding, "_CHOLESKY_MIN_Q"):
+            shipped, precoding._CHOLESKY_MIN_Q = precoding._CHOLESKY_MIN_Q, 0
+            row["cholesky_us"] = best_us(lambda: precoding._regularized_inverse(W, np.array(alphas)))
+            precoding._CHOLESKY_MIN_Q = shipped
+        rows[f"G={G} Q={Q} L={L} alphas={len(alphas)}"] = row
+print(json.dumps(rows))
+"""
+
+
+def _probe(script: str, *args) -> dict:
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def layers(trees: dict, workloads: list[str], seed: int, rounds: int = 3, calls: int = 20) -> dict:
+    """Each tree's per-stack kernel and inverse microseconds and, per workload, its per-call minor faults, CPU and
+    system seconds, over ``rounds`` alternating rounds (each value's median and all rounds)."""
+    runs = {"stacks": {side: [] for side in trees}, "per_call": {w: {side: [] for side in trees} for w in workloads}}
+    for i in range(rounds):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs["stacks"][side].append(_probe(_STACKS, trees[side]))
+            for w in workloads:
+                runs["per_call"][w][side].append(_probe(_PER_CALL, trees[side], w, seed, calls))
+
+    def medians(samples: list[dict]) -> dict:
+        return {key: (medians([s[key] for s in samples]) if isinstance(samples[0][key], dict)
+                      else statistics.median(s[key] for s in samples)) for key in samples[0]}
+
+    return {"rounds": rounds, "calls_per_round": calls,
+            "stacks": {side: medians(r) for side, r in runs["stacks"].items()},
+            "per_call": {w: {side: medians(r) for side, r in sides.items()} for w, sides in runs["per_call"].items()},
+            "runs": runs}
 
 
 def _children_cpu_s() -> float:
@@ -143,6 +227,8 @@ def main(argv=None) -> int:
     parser.add_argument("--criterion3", type=int, nargs="?", const=3, default=0, metavar="PAIRS",
                         help="also time acceptance criterion 3 alone over PAIRS alternating pairs (default 3)")
     parser.add_argument("--thread-gate", action="store_true", help="also record the change tree's thread-gate table")
+    parser.add_argument("--layers", action="store_true",
+                        help="also record per-stack kernel and inverse times and per-call faults and CPU per tree")
     parser.add_argument("--traced", nargs="*", default=[], metavar="WORKLOAD",
                         help="also make one traced run per tree of each named workload")
     parser.add_argument("--out", type=Path, required=True)
@@ -177,6 +263,8 @@ def main(argv=None) -> int:
     if args.traced:
         result["traced"] = {w: {side: traced_once(tree, w, args.seed, args.seconds) for side, tree in trees.items()}
                             for w in args.traced}
+    if args.layers:
+        result["layers"] = layers(trees, workloads, args.seed)
     if args.tier1:
         result["tier1"] = {side: tier1(tree) for side, tree in trees.items()}
     if args.criterion3:
