@@ -21,8 +21,6 @@ import os
 import threading
 from pathlib import Path
 
-import numpy as np
-
 
 def map_ordered(fn, items) -> list:
     """Apply fn to each item in order, on the calling thread."""
@@ -35,6 +33,8 @@ def _bundled(*names):
     numpy 2 wheels bundle ``libscipy_openblas64_*.so``; numpy 1.x wheels name their OpenBLAS otherwise, and
     there ccdl runs without it.
     """
+    import numpy as np  # here, its only use, so that the closed-form CLI never imports numpy
+
     for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
         try:
             lib = ctypes.CDLL(str(path))  # releases the interpreter lock around each call

@@ -29,11 +29,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from ccdl import analytic, montecarlo, optimizer, scheme
+from ccdl import analytic, channel, montecarlo, optimizer, precoding, scheme
 from ccdl._parallel import map_ordered
 from ccdl.analytic import CsiCostModel, RateInputs
-from ccdl.channel import RngSeed
-from ccdl.precoding import PrecoderKind
 
 CSV_COLUMNS = [
     "precoder",
@@ -302,7 +300,8 @@ def _simulate(spec: ExperimentSpec, name: str, G: int, checked, model: CsiCostMo
     if gram_bytes > montecarlo._INVERSE_BYTES:
         raise SpecError(f"--G {checked.G} --Q {checked.Q}: one trial's Gram matrices take {gram_bytes} bytes, "
                         f"over the cap of {montecarlo._INVERSE_BYTES}")
-    mc = montecarlo.McConfig(trials=spec.trials, seed=RngSeed(spec.seed), scheme=checked, precoder=PrecoderKind(name))
+    mc = montecarlo.McConfig(trials=spec.trials, seed=channel.RngSeed(spec.seed), scheme=checked,
+                             precoder=precoding.PrecoderKind(name))
     return dict(mc=mc, source=f"monte_carlo({spec.trials};{spec.seed})", trials=spec.trials, seed=spec.seed)
 
 
@@ -348,9 +347,9 @@ def _rows(spec: ExperimentSpec, mode: str) -> list[dict]:
 def _finish(rows: list[dict]) -> list[dict]:
     """Fill the Monte Carlo rows by one shared estimate_sum_rates call, add c, rate_bits and
     the effective rate, reject non-finite rows."""
-    pending = [row for row in rows if "mc" in row]
-    for row, est in zip(pending, montecarlo.estimate_sum_rates([row.pop("mc") for row in pending])):
-        row["rate_nats"] = est.mean
+    if pending := [row for row in rows if "mc" in row]:  # only these load numpy (ccdl/__init__)
+        for row, est in zip(pending, montecarlo.estimate_sum_rates([row.pop("mc") for row in pending])):
+            row["rate_nats"] = est.mean
     for row in rows:
         row.update(c=row["Q"] / row["L"], rate_bits=row["rate_nats"] / math.log(2))
         row["effective_rate_nats"] = analytic.data_share(row["c"], row["zeta"]) * row["rate_nats"]

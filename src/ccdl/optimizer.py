@@ -124,6 +124,9 @@ def _root(f, lo: float, hi: float) -> OptimizationResult:
     _check_feasible(lo, hi)
     if not math.isfinite(hi):
         raise SearchBreakdown(f"search interval [{lo:g}, {hi:g}] is unbounded")
+    # numpy, not a Python grid, so that c_star keeps its bits: the grid is 10 ** linspace(log10 lo, log10 hi), and
+    # libm's pow (10.0 ** y) differs from numpy's SIMD power in the last bit on about 5% of the points (numpy
+    # 2.4.6, AVX-512F), which moved c_star by 2 ulps on 5 fig2 rows.  So those bits follow numpy's power kernel.
     grid = np.geomspace(lo, hi, 256)
     a = float(grid[0])
     f_a = f(a)
