@@ -186,17 +186,17 @@ def wishart_inv_trace_mc(Q: int, L: int, trials: int, rng: RngSeed) -> float:
     """Monte Carlo estimate of E{Tr{(H H^H)^-1}} for a Q x L channel H.
 
     Requires L > Q so the Gram matrix is almost surely invertible; the
-    estimate converges to Q / (L - Q).  Singular draws are resampled
-    under the policy of :func:`seeded_map`.
+    estimate converges to Q / (L - Q).  Each trial takes the trace of ZF's
+    inverse in :mod:`ccdl.precoding`, so exactly the draws that ZF's rank
+    rule rejects are resampled, under the policy of :func:`seeded_map`.
     """
     if not L > Q:
         raise ValueError(f"need L > Q for an invertible Gram matrix, got Q={Q}, L={L}")
 
+    from ccdl.precoding import _regularized_inverse  # precoding imports this module
+
     def inv_trace(W: np.ndarray) -> float:
-        w = np.linalg.eigvalsh(W)
-        if not w[0] > w[-1] * 1e-12:
-            raise RankDeficient("singular Gram matrix")
-        return float(np.sum(1.0 / w))
+        return float(np.trace(_regularized_inverse(W, 0.0)).real)
 
     (values,) = seeded_map(lambda gen: wishart_gram(gen, 1, Q, L)[0], [inv_trace], trials, rng, Q**3)
     return math.fsum(values) / trials

@@ -167,35 +167,27 @@ def _flags() -> dict[str, Flag]:
 _FLAGS = _flags()
 
 
+# Named experiment specs reproducing the shipped figure scenarios, as the fields each sets; every one is a sweep
+# under PRESET_CSI.  The fig2/fig3 presets default to ZF; pass --precoder to override.
+#   fig1      effective rate versus stream count for all three precoders (10 dB, G=5, L=64).
+#   fig2-L32  optimized gain versus SNR at 32 antennas (G=6).
+#   fig2-L64  optimized gain versus SNR at 64 antennas (G=6).
+#   fig3-L64  fixed-Q (hardening-constrained) gain versus SNR, Q=8 on both sides (G=6, L=64).
+_SNR_AXIS = dict(G=6, axis="snr_db", start=0, stop=25, step=1)
+_PRESETS = {
+    "fig1": dict(mode="rate", precoder="all", L=64, G=5, snr_db=10.0, axis="Q", start=1, stop=63, step=1),
+    "fig2-L32": dict(mode="optimize", precoder="zf", L=32, **_SNR_AXIS),
+    "fig2-L64": dict(mode="optimize", precoder="zf", L=64, **_SNR_AXIS),
+    "fig3-L64": dict(mode="gain", precoder="zf", L=64, Q=8, **_SNR_AXIS),
+}
+
+
 def preset(name: str) -> ExperimentSpec:
-    """Named experiment specs reproducing the shipped figure scenarios.
-
-    fig1      effective rate versus stream count for all three precoders
-              (10 dB, G=5, L=64).
-    fig2-L32  optimized gain versus SNR at 32 antennas (G=6).
-    fig2-L64  optimized gain versus SNR at 64 antennas (G=6).
-    fig3-L64  fixed-Q (hardening-constrained) gain versus SNR, Q=8 on
-              both sides (G=6, L=64).
-
-    The fig2/fig3 presets default to ZF; pass --precoder to override.
-    """
-    csi = dict(beta=PRESET_CSI.beta_tot, tc=PRESET_CSI.t_c, wc=PRESET_CSI.w_c)
-    if name == "fig1":
-        return ExperimentSpec(
-            command="sweep", mode="rate", precoder="all", L=64, G=5, snr_db=10.0,
-            axis="Q", start=1, stop=63, step=1, **csi,
-        )
-    if name in ("fig2-L32", "fig2-L64"):
-        return ExperimentSpec(
-            command="sweep", mode="optimize", precoder="zf", L=32 if name.endswith("32") else 64,
-            G=6, axis="snr_db", start=0, stop=25, step=1, **csi,
-        )
-    if name == "fig3-L64":
-        return ExperimentSpec(
-            command="sweep", mode="gain", precoder="zf", L=64, G=6, Q=8,
-            axis="snr_db", start=0, stop=25, step=1, **csi,
-        )
-    raise UnknownPreset(f"no preset named {name!r}")
+    """The named preset's spec (see ``_PRESETS``)."""
+    if name not in _PRESETS:
+        raise UnknownPreset(f"no preset named {name!r}; the presets are {', '.join(_PRESETS)}")
+    return ExperimentSpec(command="sweep", beta=PRESET_CSI.beta_tot, tc=PRESET_CSI.t_c, wc=PRESET_CSI.w_c,
+                          **_PRESETS[name])
 
 
 def _typed(key: str, value):
@@ -447,7 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if command == "sweep" or not flag.sweep_only:
                 p.add_argument(flag.spelling, dest=flag.name, type=flag.kind, choices=flag.choices,
                                help=f"{flag.help} [{', '.join((flag.kind.__name__, *flag.bounds))}]")
-        for spelling, text in (("--preset", "fig1, fig2-L32, fig2-L64, fig3-L64"),
+        for spelling, text in (("--preset", ", ".join(_PRESETS)),
                                ("--config", "JSON file of spec fields; flags override")):
             p.add_argument(spelling, help=text)
     return parser

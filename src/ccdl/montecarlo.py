@@ -74,59 +74,37 @@ def _rows(n: int, sig: np.ndarray, intf: np.ndarray, traces: np.ndarray) -> tupl
     return sig.reshape(n, -1), intf.reshape(n, -1), traces.reshape(n, -1).sum(axis=-1)
 
 
-class _Draw:
-    """One trial draw: the G Gram matrices ``W``, and the pass's ZF and RZF rows inverted in one call.
+def _draw(W: np.ndarray, alphas: np.ndarray) -> tuple:
+    """One trial draw: the G Gram matrices ``W``, and the pass's ZF and RZF kernel rows from one stacked inverse.
 
-    ``inverted()`` runs :func:`ccdl.precoding._regularized_inverse` on W once with the pass's
-    ``alphas`` (ZF's 0 first), for whichever kernel asks first, and keeps the kernel rows of the
-    powers, read from R alone, and ZF's rank-rule error or None, for the others; R itself lives in a
-    per-thread work array that the next inverse overwrites.  It is None where some W + alpha I is
-    not positive definite.
+    The rows are :func:`ccdl.precoding.gram_powers` of W over the pass's ``alphas`` (ZF's 0 first), or None
+    where the pass has none, or where the stack raises :class:`ccdl.precoding.RankDeficient`: some
+    W + alpha I not positive definite, or ZF's member failing its rank rule.
     """
-
-    __slots__ = ("W", "_alphas", "_inverted")
-
-    def __init__(self, W: np.ndarray, alphas: np.ndarray):
-        self.W, self._alphas, self._inverted = W, alphas, False
-
-    def inverted(self):
-        if self._inverted is False:
-            try:
-                R = precoding._regularized_inverse(self.W, self._alphas)
-            except precoding.RankDeficient:
-                self._inverted = None
-            else:
-                zf_error = None
-                if self._alphas[0] == 0:
-                    try:
-                        precoding._zf_rank_rule(self.W, R[0])
-                    except precoding.RankDeficient as exc:
-                        zf_error = exc
-                powers = precoding._inverse_powers(self.W, R, self._alphas)
-                self._inverted = _rows(len(self._alphas), *powers), zf_error
-        return self._inverted
+    if alphas.size:
+        try:
+            return W, _rows(alphas.size, *precoding.gram_powers(W, PrecoderKind.rzf(), alphas))
+        except precoding.RankDeficient:
+            pass
+    return W, None
 
 
 def _kernel(kinds: list[PrecoderKind], first: int):
     """Trial kernel of same-name kinds: the trial's powers and trace sum, one row per kind (RZF's alpha stack).
 
     ZF and RZF take their rows of the draw's stacked inverse, from row
-    ``first`` on, and ZF's rank rule reads ZF's row alone.  Where the
-    stack is not positive definite (at ZF's alpha = 0), each kind inverts by itself, as
-    MF always computes alone; so a draw that ZF rejects moves neither MF
-    nor RZF, and every row is bit-equal to its kind's own
-    :func:`ccdl.precoding.gram_powers` call.
+    ``first`` on.  Where the stack raised (ZF's rank rule, or a W + alpha I
+    not positive definite), each kind computes by itself, as MF always
+    does; so a draw that ZF rejects moves neither MF nor RZF, and every row
+    is bit-equal to its kind's own :func:`ccdl.precoding.gram_powers` call.
     """
     kind, n, rows = kinds[0], len(kinds), slice(first, first + len(kinds))
     alphas = [k.alpha for k in kinds] if kind.name == "RZF" else None
 
-    def kernel(draw: _Draw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        inverted = None if kind.name == "MF" else draw.inverted()
-        if inverted is None:
-            return _rows(n, *precoding.gram_powers(draw.W, kind, alphas))
-        powers, zf_error = inverted
-        if kind.name == "ZF" and zf_error is not None:
-            raise zf_error
+    def kernel(draw: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        W, powers = draw
+        if powers is None or kind.name == "MF":
+            return _rows(n, *precoding.gram_powers(W, kind, alphas))
         return tuple(p[rows] for p in powers)
 
     return kernel
@@ -146,7 +124,7 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
     on neither SNR nor precoder: such an ensemble runs one
     :func:`ccdl.channel.seeded_map` pass, and each estimate is bit-equal to
     its config's run alone.  Per draw, the pass's ZF and RZF rows come
-    from one stacked inverse (:class:`_Draw`), and the pass's inverse work,
+    from one stacked inverse (:func:`_draw`), and the pass's inverse work,
     G matrices per such row times Q^3, decides whether its trials run on
     threads.  Rows whose kept powers would pass 64 MiB, or whose stacked
     G x Q x Q matrices of one draw would pass 1 GiB, split over further
@@ -175,7 +153,7 @@ def estimate_sum_rates(configs) -> list[McEstimate]:
             stack = [*groups.get("ZF", ()), *groups.get("RZF", ())]
             alphas = np.array([kind.alpha or 0.0 for kind in stack])  # ZF's alpha is None
             kernels = [_kernel(kinds, stack.index(kinds[0]) if kinds[0] in stack else 0) for kinds in groups.values()]
-            draw = lambda gen: _Draw(wishart_gram(gen, G, Q, L), alphas)  # noqa: E731
+            draw = lambda gen: _draw(wishart_gram(gen, G, Q, L), alphas)  # noqa: E731
             columns = seeded_map(draw, kernels, trials, seed, len(stack) * G * Q**3)
             for kinds, per_trial in zip(groups.values(), columns):  # (sig, intf, traces) of each trial
                 for a, kind in enumerate(kinds):

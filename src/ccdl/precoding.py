@@ -4,11 +4,14 @@ Builds MF / ZF / RZF precoding matrices under the average (expectation
 based) power normalization, computes the per-user SINRs of one
 transmission stage, and checks numerically that cached side information
 removes the inter-group component of the received signal exactly.  ZF is
-RZF's alpha = 0 member; the precoder H^H R and the Gram-space powers share
-one inverse R = (W + alpha I)^-1, so they make one rank decision per draw.
-From Q = 48 on, R is a Cholesky inverse made in place through numpy's
-bundled LAPACKE (``np.linalg.inv`` below that, or without it), and the
-powers are read from W and R alone, without the product W R.
+RZF's alpha = 0 member; the precoder H^H R, the Gram-space powers and the
+Monte Carlo inverse-Wishart trace share one inverse R = (W + alpha I)^-1,
+which alone makes the rank decision: singular W + alpha I, or a ZF member
+whose W R is not finite or strays from I by more than 1e-6, raises
+:class:`RankDeficient`.  From Q = 48 on, R is a Cholesky inverse made in
+place through numpy's bundled LAPACKE (``np.linalg.inv`` below that, or
+without it), and the powers are read from W and R alone, without the
+product W R.
 """
 
 from __future__ import annotations
@@ -79,11 +82,7 @@ def build_precoder(H: np.ndarray, kind: PrecoderKind) -> np.ndarray:
     """
     if kind.name == "MF":
         return H.conj().T
-    W = H @ H.conj().T
-    R = _regularized_inverse(W, _alphas(kind))
-    if kind.name == "ZF":
-        _zf_rank_rule(W, R)
-    return H.conj().T @ R
+    return H.conj().T @ _regularized_inverse(H @ H.conj().T, _alphas(kind))
 
 
 def power_factor(
@@ -151,16 +150,14 @@ def gram_powers(W: np.ndarray, kind: PrecoderKind, alphas=None) -> tuple[np.ndar
     :class:`RankDeficient` when W is singular or W R strays from the
     identity; RZF rows skip it.  RZF takes n stacked ``alphas`` in place of
     ``kind.alpha``, adding a leading axis of size n; MF and ZF ignore them.
+    An alpha of 0 in the stack is ZF's row, and its rule rejects the stack.
     """
     W = np.ascontiguousarray(W, dtype=complex)
     if kind.name == "MF":
         d = np.diagonal(W, axis1=-2, axis2=-1).real
         return d * d, _off_diagonal_power(W, 1.0), d.sum(axis=-1)
     alphas = _alphas(kind, alphas)
-    R = _regularized_inverse(W, alphas)
-    if kind.name == "ZF":
-        _zf_rank_rule(W, R)
-    return _inverse_powers(W, R, alphas)
+    return _inverse_powers(W, _regularized_inverse(W, alphas), alphas)
 
 
 def _alphas(kind: PrecoderKind, alphas=None) -> np.ndarray:
@@ -229,8 +226,9 @@ def _regularized_inverse(W: np.ndarray, alphas) -> np.ndarray:
     thread's next call.  ZF is alpha = 0.  From Q = ``_CHOLESKY_MIN_Q`` on, each W + alpha I is inverted
     in place by Cholesky (LAPACK zpotrf, then zpotri), reading W's lower triangle; a matrix that is not
     positive definite raises :class:`RankDeficient`.  Below it, or where numpy bundles no LAPACKE,
-    ``np.linalg.inv`` inverts instead and raises on exactly singular matrices alone; ZF's rank rule
-    covers the rest on either path.
+    ``np.linalg.inv`` inverts instead and raises on exactly singular matrices alone.  On either path
+    ZF's rank rule then reads every alpha = 0 member: where its W R is not finite or more than 1e-6
+    from I, the whole call raises :class:`RankDeficient`.  This is the only rank decision in ccdl.
     """
     alphas = np.asarray(alphas, dtype=float)
     Q = W.shape[-1]
@@ -244,17 +242,22 @@ def _regularized_inverse(W: np.ndarray, alphas) -> np.ndarray:
             R[...] = np.linalg.inv(R)
         except np.linalg.LinAlgError as exc:
             raise RankDeficient("singular Gram matrix") from exc
-        return R
-    potrf, potri = lapack
-    # Column-major 'U' on the row-major buffer is the row-major lower triangle: the same Hermitian inverse,
-    # without the transposed copy LAPACKE's row-major entry makes on every call.
-    start, step = R.ctypes.data, 16 * Q * Q
-    with _parallel.one_blas_thread():  # OpenBLAS's zpotri rounds differently on more threads, even at Q = 8
-        for address in range(start, start + R.nbytes, step):
-            if potrf(_COL_MAJOR, b"U", Q, address, Q) or potri(_COL_MAJOR, b"U", Q, address, Q):
-                raise RankDeficient("Gram matrix plus alpha I not positive definite")
-    upper = np.conjugate(np.swapaxes(R, -1, -2), out=_work("transpose", R.shape, complex))
-    np.copyto(R, upper, where=_strictly_upper(Q))
+    else:
+        potrf, potri = lapack
+        # Column-major 'U' on the row-major buffer is the row-major lower triangle: the same Hermitian inverse,
+        # without the transposed copy LAPACKE's row-major entry makes on every call.
+        start, step = R.ctypes.data, 16 * Q * Q
+        with _parallel.one_blas_thread():  # OpenBLAS's zpotri rounds differently on more threads, even at Q = 8
+            for address in range(start, start + R.nbytes, step):
+                if potrf(_COL_MAJOR, b"U", Q, address, Q) or potri(_COL_MAJOR, b"U", Q, address, Q):
+                    raise RankDeficient("Gram matrix plus alpha I not positive definite")
+        upper = np.conjugate(np.swapaxes(R, -1, -2), out=_work("transpose", R.shape, complex))
+        np.copyto(R, upper, where=_strictly_upper(Q))
+    zf = alphas == 0
+    if zf.any():
+        err = np.abs(W @ R[zf] - np.eye(Q)).max()
+        if not err <= 1e-6:
+            raise RankDeficient(f"ZF inverse not finite or identity residual {err:.2e} > 1e-6 on a near-singular draw")
     return R
 
 
@@ -271,13 +274,6 @@ def _strictly_upper(Q: int) -> np.ndarray:
     mask = np.triu(np.ones((Q, Q), dtype=bool), 1)
     mask.flags.writeable = False
     return mask
-
-
-def _zf_rank_rule(W: np.ndarray, R: np.ndarray) -> None:
-    """Raise :class:`RankDeficient` where ZF's W R is not finite or more than 1e-6 from I."""
-    err = np.abs(W @ R - np.eye(W.shape[-1])).max()
-    if not err <= 1e-6:
-        raise RankDeficient(f"ZF inverse not finite or identity residual {err:.2e} > 1e-6 on a near-singular draw")
 
 
 def stage_sinrs(channels, kind: PrecoderKind, scheme: ValidatedScheme, rho: float | None = None) -> np.ndarray:

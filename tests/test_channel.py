@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ccdl import _parallel
+from ccdl import _parallel, channel
 from ccdl.analytic import stieltjes
 from ccdl.channel import (
     RankDeficient,
@@ -22,7 +22,9 @@ from ccdl.channel import (
     wishart_gram,
     wishart_inv_trace_mc,
 )
+from ccdl.precoding import PrecoderKind, gram_powers, power_factor
 from ccdl.precoding import RankDeficient as PrecodingRankDeficient
+from ccdl.scheme import scheme_for_gain
 
 
 class TestDeterminism:
@@ -152,6 +154,40 @@ class TestWishartInverseTrace:
         trial_workers(4)
         threaded = wishart_inv_trace_mc(8, 24, 400, RngSeed(9))
         assert serial == threaded
+
+    def test_resamples_exactly_where_zf_rejects(self, monkeypatch):
+        # a one-trial call whose first draw has rows 1e-12 ... 1e-4 apart, which straddle ZF's rank rule: it draws
+        # again exactly where ZF's gram_powers raises (and that redraw is over the 0.1% budget)
+        zf, outcomes, disagree = PrecoderKind.zf(), set(), []
+        for t, offset in enumerate(np.geomspace(1e-12, 1e-4, 200)):
+            H = draw_channel(8, 16, RngSeed(90, t))
+            H[1] = H[0] + offset * draw_channel(1, 16, RngSeed(91, t))[0]
+            near, made = (H @ H.conj().T)[None], []
+
+            def draw(gen, G, Q, L):
+                made.append(gen)
+                return near if len(made) == 1 else wishart_gram(gen, G, Q, L)
+
+            monkeypatch.setattr(channel, "wishart_gram", draw)
+            try:
+                wishart_inv_trace_mc(8, 16, 1, RngSeed(94))
+            except SingularDraw:
+                pass
+            try:
+                gram_powers(near, zf)
+                rejected = False
+            except RankDeficient:
+                rejected = True
+            outcomes.add(rejected)
+            if (len(made) == 2) != rejected:
+                disagree.append(t)
+        assert outcomes == {True, False}
+        assert disagree == []
+
+    def test_same_draws_and_rule_as_zf_power_factor(self):
+        scheme = scheme_for_gain(24, 10.0, 2, 8, precoder="ZF")
+        rho = power_factor(PrecoderKind.zf(), scheme, mode="montecarlo", trials=400, seed=RngSeed(9))
+        assert wishart_inv_trace_mc(8, 24, 400, RngSeed(9)) == pytest.approx(scheme.p_t / rho**2, rel=1e-12)
 
 
 def _first_draws(seed: RngSeed, t: int, n: int) -> list[float]:

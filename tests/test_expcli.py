@@ -565,13 +565,13 @@ class TestSharedEnsembles:
         code, lines, _ = run_cli(capsys, *HARDENING)
         assert code == 0
         calls = _counting_draws(monkeypatch)
-        stacks, draw = [], montecarlo._Draw
+        stacks, draw = [], montecarlo._draw
 
         def kept_alphas(W, alphas):
             stacks.append(alphas)
             return draw(W, alphas)
 
-        monkeypatch.setattr(montecarlo, "_Draw", kept_alphas)
+        monkeypatch.setattr(montecarlo, "_draw", kept_alphas)
         # every kernel row (MF, ZF and each of the 5 RZF alphas) stores two (trials, G*Q) float arrays, and each
         # ZF and RZF row adds a (G, Q, Q) complex stack to one draw's inverse
         for cap, row_bytes in (("_PASS_BYTES", 2 * 100 * 5 * 16 * 8), ("_INVERSE_BYTES", 16 * 5 * 16 * 16)):

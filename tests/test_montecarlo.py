@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ccdl.analytic import RateInputs, mf_rate, mf_rate_finite, rzf_rate, zf_rate
-from ccdl import channel, montecarlo
+from ccdl import _parallel, channel, montecarlo
 from ccdl.channel import RngSeed, seeded_map, wishart_gram, wishart_inv_trace_mc
 from ccdl.montecarlo import (
     McConfig,
@@ -195,7 +195,7 @@ def _pass_kernels(alphas: list[float]):
     rzf = [PrecoderKind.rzf(a) for a in alphas]
     kernels = [montecarlo._kernel([PrecoderKind.mf()], 0), montecarlo._kernel([PrecoderKind.zf()], 0),
                montecarlo._kernel(rzf, 1)]
-    return (lambda W: montecarlo._Draw(W, np.array([0.0, *alphas]))), kernels, rzf
+    return (lambda W: montecarlo._draw(W, np.array([0.0, *alphas]))), kernels, rzf
 
 
 class TestStackedInverse:
@@ -212,12 +212,19 @@ class TestStackedInverse:
             for got, want in zip(rows, solo):
                 assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
-    @pytest.mark.parametrize("exact", [False, True], ids=["rank-rule", "singular-stack"])
-    def test_draw_only_zf_rejects_moves_zf_alone(self, exact):
+    @pytest.mark.parametrize("exact, G, Q, L", [
+        pytest.param(False, 3, 8, 32, id="rank-rule"), pytest.param(True, 3, 8, 32, id="singular-stack"),
+        pytest.param(False, 3, 48, 96, id="rank-rule-cholesky"),
+        pytest.param(True, 3, 48, 96, id="singular-stack-cholesky"),
+    ])
+    def test_draw_only_zf_rejects_moves_zf_alone(self, exact, G, Q, L):
         # trial 0's first draw is singular in one group: ZF redraws, MF and RZF keep draw 0.  A rank Q - 1
-        # group fails ZF's rank rule; one with a zero row and column makes the stacked inverse raise
-        # LinAlgError, so RZF inverts its own alphas.
-        G, Q, L, seed = 3, 8, 32, RngSeed(16)
+        # group fails ZF's rank rule; one with a zero row and column is singular (inv raises LinAlgError, and
+        # Cholesky fails from Q = _CHOLESKY_MIN_Q).  Either makes the stacked inverse raise, so RZF inverts its
+        # own alphas.
+        if Q >= montecarlo.precoding._CHOLESKY_MIN_Q and _parallel.cholesky_lapack() is None:
+            pytest.skip("numpy bundles no LAPACKE here")
+        seed = RngSeed(16)
         singular = wishart_gram(RngSeed(17).generator(), 1, Q, Q - 1)[0]
         if exact:
             singular[-1, :] = singular[:, -1] = 0
@@ -231,7 +238,8 @@ class TestStackedInverse:
             W = wishart_gram(gen, G, Q, L)
             if first and gen.bit_generator.state["state"]["key"][1] == seed.stream_id:
                 W[1] = singular
-            made.append(W)
+            if len(made) < 2:
+                made.append(W)
             return make(W)
 
         mf, zf, rzf_rows = (column[0] for column in seeded_map(draw, kernels, 1000, seed))

@@ -21,9 +21,11 @@ tree of each ``--traced`` workload (its per-layer metrics, and the count and
 summed milliseconds of each span name per traced call), and records
 provenance from ``perfbench/provenance.collect``.  ``--layers`` adds layer rows
 over three alternating rounds: each tree's microseconds per Gram stack for the
-RZF kernel, ``np.linalg.inv`` and (where the tree has it) the Cholesky inverse
-at (5, 64, 128) and (5, 16, 256), and each workload's minor page faults, CPU
-and system seconds per CLI call, in-process after an untimed first call.
+RZF kernel (ZF's 0 included), ``np.linalg.inv`` and (where the tree has it) the
+Cholesky inverse (both on the positive alphas alone, so that neither pays ZF's
+rank rule) at (5, 64, 128) and (5, 16, 256), and each workload's minor page
+faults, CPU and system seconds per CLI call, in-process after an untimed first
+call.
 Runs are sequential: one process at a time.
 """
 
@@ -84,8 +86,10 @@ faults, cpu_s, system_s = ((b - a) / calls for a, b in zip(before, after))
 print(json.dumps({"minor_faults": faults, "cpu_s": cpu_s, "system_s": system_s}))
 """
 
-# Best-of-9 microseconds per stack on one BLAS thread: gram_powers' RZF kernel over an alpha stack,
-# np.linalg.inv of W + alpha I, and, where the tree has it, the Cholesky inverse forced on.
+# Best-of-9 microseconds per stack on one BLAS thread: gram_powers' RZF kernel over an alpha stack that holds ZF's 0,
+# and, on that stack's positive alphas alone, np.linalg.inv of W + alpha I and, where the tree has it, the Cholesky
+# inverse forced on.  Leaving ZF's 0 out of both inverse rows keeps them like for like: the Cholesky row would pay ZF's
+# rank-rule product W R, which a bare inv does not.
 _STACKS = """
 import json, sys, time
 sys.path.insert(0, sys.argv[1] + "/src")
@@ -105,13 +109,14 @@ rows = {}
 with _parallel.one_blas_thread():
     for G, Q, L, snrs in ((5, 64, 128, [10.0]), (5, 16, 256, [None, 0.0, 5.0, 10.0, 15.0, 20.0])):
         alphas = [0.0 if snr is None else L / 10 ** (snr / 10) for snr in snrs]  # None: ZF's row
+        rzf = np.array([a for a in alphas if a > 0])
         W = wishart_gram(RngSeed(1).generator(), G, Q, L)
-        shift = np.reshape(alphas, (-1, 1, 1, 1)) * np.eye(Q)
+        shift = np.reshape(rzf, (-1, 1, 1, 1)) * np.eye(Q)
         row = {"kernel_us": best_us(lambda: precoding.gram_powers(W, PrecoderKind.rzf(), alphas)),
                "inv_us": best_us(lambda: np.linalg.inv(W + shift))}
         if hasattr(precoding, "_CHOLESKY_MIN_Q"):
             shipped, precoding._CHOLESKY_MIN_Q = precoding._CHOLESKY_MIN_Q, 0
-            row["cholesky_us"] = best_us(lambda: precoding._regularized_inverse(W, np.array(alphas)))
+            row["cholesky_us"] = best_us(lambda: precoding._regularized_inverse(W, rzf))
             precoding._CHOLESKY_MIN_Q = shipped
         rows[f"G={G} Q={Q} L={L} alphas={len(alphas)}"] = row
 print(json.dumps(rows))

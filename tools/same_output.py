@@ -11,7 +11,7 @@ report gives one line per command: whether stdout, stderr and the exit
 status are byte-identical, followed by the first differing lines of any
 stream that differs.  The exit status is 0 when every command matched.
 
-The list of 54 commands covers ``simulate`` and ``sweep --mode simulate``
+The list of 56 commands covers ``simulate`` and ``sweep --mode simulate``
 (MF, ZF, RZF; the trials=0 error; Q > L for MF; the ZF error at Q = L; a
 threaded Q = 64 ensemble; an L sweep; a 93-row sweep whose ensemble splits
 over 5 trial passes), the four presets, ``rate``, ``gain``, ``optimize`` and
@@ -29,7 +29,8 @@ at a ``fig3-L64`` point, the CLI's edges (a ``--config`` value of the wrong type
 ``precoder``, ``axis`` and ``mode`` outside their choices, ``"precoder": "ZF"``, a malformed
 ``--config`` file, MF ``rate`` at 3082, 3083, -3076 and -3077 dB, where the linear power
 10**(snr_db/10) overflows or turns subnormal, and each command's ``--help``),
-``power_factor(mode="montecarlo")`` for every precoder, the sha256
+``power_factor(mode="montecarlo")`` for every precoder,
+``wishart_inv_trace_mc`` at (Q, L) = (16, 64) and (1, 2), the sha256
 digests of ``build_precoder`` (ZF, RZF) and of ``gram_powers``' signal and
 interference powers (MF, ZF, RZF, stacked alphas) on fixed seeded draws,
 the ZF accept/reject decisions of ``build_precoder`` and ``stage_sinrs`` on
@@ -93,6 +94,11 @@ for name, kind, L, Q in (("MF", PrecoderKind.mf(), 16, 24), ("ZF", PrecoderKind.
                          ("RZF", PrecoderKind.rzf(), 64, 32), ("RZF", PrecoderKind.rzf(0.5), 32, 16)):
     scheme = scheme_for_gain(L, 10.0, 2, Q, precoder=name)
     print(name, L, Q, repr(power_factor(kind, scheme, mode="montecarlo", trials=300, seed=RngSeed(51))))
+"""
+
+_WISHART_INV_TRACE = """
+from ccdl.channel import RngSeed, wishart_inv_trace_mc
+print(repr(wishart_inv_trace_mc({Q}, {L}, 2000, RngSeed({seed}))))
 """
 
 # sha256 of every ZF and RZF precoder and of the MF, ZF, RZF and stacked-alpha Gram-space
@@ -182,6 +188,8 @@ COMMANDS = [
     *[(f"{command} --help", [*_CLI, command, "--help"], None)
       for command in ("rate", "simulate", "optimize", "gain", "sweep")],
     ("power_factor montecarlo", ["-c", _POWER_FACTORS], None),
+    *[(f"wishart_inv_trace_mc {Q} {L}", ["-c", _WISHART_INV_TRACE.format(Q=Q, L=L, seed=seed)], None)
+      for Q, L, seed in ((16, 64, 42), (1, 2, 0))],
     ("precoder bits", ["-c", _PRECODER_BITS], None),
     ("ZF rank decisions", ["-c", _RANK_DECISIONS], None),
     ("ACCEPTANCE 3 and 4", ["-m", "pytest", "tests/test_acceptance.py", "-q", "-s", "-p", "no:cacheprovider",
